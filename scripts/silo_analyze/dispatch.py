@@ -53,6 +53,9 @@ class FieldSite:
     fn_path: str
     why: str
     exempt: dict = field(default_factory=dict)  # field -> reason
+    # Overloaded handler: pick the definition whose parameter list
+    # contains this token text (spaces ignored), e.g. "Snapshot::Tenant&".
+    param: str = ""
 
 
 SWITCH_SITES = [
@@ -73,6 +76,9 @@ SWITCH_SITES = [
         "FaultInjector::execute", "src/sim/faults.cc",
         "an unexecuted fault action makes a chaos schedule a no-op"),
 ]
+
+_KEYED = ("keyed entries: the journal encodes and digests each one on "
+          "its own, through the entry overload of the same function")
 
 FIELD_SITES = [
     FieldSite(
@@ -104,9 +110,28 @@ FIELD_SITES = [
         "equivalence goldens"),
     FieldSite(
         "PacerConfigRecord", "src/pacer/pacer_config.h",
-        "pacer_config_checksum", "src/pacer/pacer_config.h",
+        "fnv_mix_record", "src/pacer/pacer_config.h",
         "a config field outside the checksum escapes the delta-vs-snapshot "
         "goldens"),
+] + [
+    # The journal's snapshot codec: a field left out of an overload is lost
+    # across crash + recovery and escapes the per-entry snapshot digests.
+    FieldSite(struct, path, fn, "src/core/journal.cc",
+              f"a snapshot field outside {fn} escapes the journal's "
+              f"snapshot digest and is lost across crash + recovery",
+              exempt=exempt, param=param)
+    for fn in ("write_snapshot", "read_snapshot")
+    for struct, path, param, exempt in (
+        ("ControllerSnapshot", "src/core/journal.h", "ControllerSnapshot&",
+         {"tenants": _KEYED}),
+        ("Tenant", "src/core/journal.h", "ControllerSnapshot::Tenant&", {}),
+        ("EngineSnapshot", "src/placement/placement.h",
+         "ControllerSnapshot&", {"tenants": _KEYED}),
+        ("Tenant", "src/placement/placement.h",
+         "EngineSnapshot::Tenant&", {}),
+        ("FailedServer", "src/placement/placement.h",
+         "ControllerSnapshot&", {}),
+    )
 ]
 
 
@@ -216,10 +241,11 @@ def _check_fields(repo: Repo, site: FieldSite) -> list[Finding]:
                         f"configured struct '{site.struct}' not found "
                         f"(dispatch.py site config rotted?)")]
     body = find_function_body(lexer.lex(repo.files.get(site.fn_path, "")),
-                              site.fn)
+                              site.fn, site.param)
     if body is None:
         return [Finding(site.fn_path, 1, RULE,
-                        f"configured handler '{site.fn}' not found "
+                        f"configured handler '{site.fn}"
+                        f"({site.param})' not found "
                         f"(dispatch.py site config rotted?)")]
     _, btoks = body
     referenced = _member_accesses(btoks)
@@ -320,32 +346,35 @@ def _field_of_stmt(stmt: list[lexer.Token]) -> tuple[int, str] | None:
 # ---- function body extraction ----------------------------------------------
 
 def find_function_body(
-        toks: list[lexer.Token],
-        qualified: str) -> tuple[int, list[lexer.Token]] | None:
+        toks: list[lexer.Token], qualified: str,
+        param: str = "") -> tuple[int, list[lexer.Token]] | None:
     """Locate the definition of `A::B::name` (or a free `name`) and return
     (line, body tokens). Matches the qualified id sequence followed by an
     argument list and an opening brace (skipping member initializers,
-    const/noexcept/trailing-return clutter)."""
+    const/noexcept/trailing-return clutter). A non-empty `param` selects
+    the overload whose argument list contains that text."""
     parts = qualified.split("::")
-    found = _find_body_parts(toks, parts)
+    found = _find_body_parts(toks, parts, param)
     if found is None and len(parts) > 1:
         # In-class definition: `A::b` is written as plain `b` inside the
         # class body. The preceding-token check still rejects calls.
-        found = _find_body_parts(toks, parts[-1:])
+        found = _find_body_parts(toks, parts[-1:], param)
     return found
 
 
 def _find_body_parts(
-        toks: list[lexer.Token],
-        parts: list[str]) -> tuple[int, list[lexer.Token]] | None:
+        toks: list[lexer.Token], parts: list[str],
+        param: str = "") -> tuple[int, list[lexer.Token]] | None:
     n = len(toks)
     want = len(parts) * 3 - 2  # ids interleaved with ':' ':' pairs
+    param = param.replace(" ", "")
     for i in range(n - want):
         if not _matches_qualified(toks, i, parts):
             continue
         j = i + want
         if j >= n or toks[j].value != "(":
             continue
+        args_start = j
         depth = 0
         while j < n:
             v = toks[j].value
@@ -356,6 +385,9 @@ def _find_body_parts(
                 if depth == 0:
                     break
             j += 1
+        if param and param not in "".join(
+                t.value for t in toks[args_start:j]):
+            continue
         j += 1
         # Scan forward to '{' (body) or ';' (just a declaration).
         while j < n and toks[j].value not in ("{", ";"):

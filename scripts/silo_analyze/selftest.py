@@ -276,6 +276,49 @@ case(
     {"src/m/d.h": _FIELD_STRUCT},
     None, _field_runner(exempt={"server": "routing key"}), [])
 
+# A snapshot codec written as write_snapshot overloads: the Tenant
+# overload drops `status`, which the Snap overload (defined first) happens
+# to touch — the `param` overload selection must still flag it.
+_CODEC = {
+    "src/m/s.h": "\n".join([
+        "#pragma once",
+        "struct Snap {",
+        "  struct Tenant {",
+        "    long id = -1;",
+        "    int status = 0;",
+        "  };",
+        "  std::vector<Tenant> tenants;",
+        "  int status = 0;",
+        "};",
+        ""]),
+    "src/m/s.cc": "\n".join([
+        "template <class W>",
+        "void write_snapshot(W& w, const Snap& snap) {",
+        "  w.i32(snap.status);",
+        "}",
+        "template <class W>",
+        "void write_snapshot(W& w, const Snap::Tenant& t) {",
+        "  w.i64(t.id);",
+        "}",
+        ""]),
+}
+
+
+def _codec_runner(struct, param, exempt=None):
+    site = dispatch.FieldSite(struct, "src/m/s.h", "write_snapshot",
+                              "src/m/s.cc", "fixture",
+                              exempt=exempt or {}, param=param)
+
+    def run(repo: Repo):
+        return dispatch._check_fields(repo, site)
+    return run
+
+
+case(
+    "dispatch/snapshot-codec-overload-misses-field",
+    _CODEC, None, _codec_runner("Tenant", "Snap::Tenant&"),
+    [(dispatch.RULE, "src/m/s.h")])  # Tenant::status, despite snap.status
+
 # ---- metric catalog --------------------------------------------------------
 
 _M_DOC = "\n".join([

@@ -52,8 +52,49 @@ void SiloController::journal_op(JournalRecord rec) {
 void SiloController::maybe_compact() {
   if (journal_ == nullptr || replaying_ || snapshot_every_ <= 0) return;
   if (++ops_since_snapshot_ < snapshot_every_) return;
-  journal_->compact(snapshot());
+  if (compact_full_)
+    journal_->compact(snapshot());
+  else
+    journal_->compact(snapshot_delta());
+  compact_full_ = false;
+  changed_tenants_.clear();
+  changed_engine_ids_.clear();
   ops_since_snapshot_ = 0;
+}
+
+void SiloController::note_changed(placement::TenantId id,
+                                  placement::TenantId engine_id) {
+  // Replay tracks too: a recovered controller's next compaction folds the
+  // replayed changes into the snapshot it was restored from.
+  if (!replaying_ && (journal_ == nullptr || snapshot_every_ <= 0)) return;
+  if (id >= 0) changed_tenants_.push_back(id);
+  if (engine_id >= 0) changed_engine_ids_.push_back(engine_id);
+}
+
+SnapshotDelta SiloController::snapshot_delta() {
+  const auto sort_unique = [](std::vector<placement::TenantId>& ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  };
+  SnapshotDelta delta;
+  delta.globals.engine = engine_.snapshot_globals();
+  capture_globals(delta.globals);
+  sort_unique(changed_tenants_);
+  for (const auto id : changed_tenants_) {
+    const auto it = tenants_.find(id);
+    if (it == tenants_.end())
+      delta.erased_tenants.push_back(id);
+    else
+      delta.tenants.push_back(snapshot_entry(id, it->second));
+  }
+  sort_unique(changed_engine_ids_);
+  for (const auto eid : changed_engine_ids_) {
+    if (auto t = engine_.snapshot_tenant(eid))
+      delta.engine_tenants.push_back(std::move(*t));
+    else
+      delta.erased_engine_tenants.push_back(eid);
+  }
+  return delta;
 }
 
 void SiloController::attach_journal(DeltaJournal* journal,
@@ -61,6 +102,8 @@ void SiloController::attach_journal(DeltaJournal* journal,
   journal_ = journal;
   snapshot_every_ = snapshot_every;
   ops_since_snapshot_ = 0;
+  // Nothing ties this state to the journal's retained snapshot.
+  compact_full_ = true;
 }
 
 std::optional<TenantHandle> SiloController::admit(
@@ -76,6 +119,7 @@ std::optional<TenantHandle> SiloController::admit(
     return std::nullopt;
   }
   m_admissions_.inc();
+  note_changed(placed->id, placed->id);
   TenantHandle handle{placed->id, placed->vm_to_server};
   auto it = tenants_
                 .emplace(placed->id,
@@ -97,21 +141,26 @@ void SiloController::release(const TenantHandle& handle) {
   jrec.tenant = handle.id;
   journal_op(std::move(jrec));
   auto& state = it->second;
+  note_changed(handle.id, state.engine_id);
   if (state.engine_id >= 0) {
     engine_.remove(state.engine_id);
     engine_to_external_.erase(state.engine_id);
   }
   revoke_leases_for_tenant(handle.id);
   emit_config_deltas(handle.id, state, /*now_paced=*/false);
-  count_status(state.status, -1);
+  non_guaranteed_.erase(handle.id);
   tenants_.erase(it);
   m_releases_.inc();
   maybe_compact();
 }
 
-void SiloController::count_status(TenantStatus status, int delta) {
-  if (status == TenantStatus::kDegraded) degraded_count_ += delta;
-  if (status == TenantStatus::kUnplaced) unplaced_count_ += delta;
+void SiloController::set_status(placement::TenantId id, TenantState& state,
+                                TenantStatus status) {
+  state.status = status;
+  if (status == TenantStatus::kGuaranteed)
+    non_guaranteed_.erase(id);
+  else
+    non_guaranteed_.insert(id);
 }
 
 std::vector<placement::TenantId> SiloController::to_external(
@@ -121,16 +170,6 @@ std::vector<placement::TenantId> SiloController::to_external(
   for (const auto eid : engine_ids) {
     auto it = engine_to_external_.find(eid);
     if (it != engine_to_external_.end()) out.push_back(it->second);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<placement::TenantId> SiloController::non_guaranteed_tenants()
-    const {
-  std::vector<placement::TenantId> out;
-  for (const auto& [id, state] : tenants_) {
-    if (state.status != TenantStatus::kGuaranteed) out.push_back(id);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -361,7 +400,7 @@ RecoveryReport SiloController::recover(
   for (const auto id : affected) {
     auto& state = tenants_.at(id);
     const TenantStatus old_status = state.status;
-    count_status(old_status, -1);
+    note_changed(id, state.engine_id);
     // Placement is about to change under any lease this tenant lends or
     // borrows; reclaim first (inside the already-journaled failure op).
     revoke_leases_for_tenant(id);
@@ -375,9 +414,10 @@ RecoveryReport SiloController::recover(
     if (auto placed = engine_.place(state.request)) {
       if (old_status != TenantStatus::kGuaranteed) m_promotions_.inc();
       state.engine_id = placed->id;
+      note_changed(-1, placed->id);
       engine_to_external_.emplace(placed->id, id);
       state.vm_to_server = placed->vm_to_server;
-      state.status = TenantStatus::kGuaranteed;
+      set_status(id, state, TenantStatus::kGuaranteed);
       report.replaced.push_back(id);
       m_replaced_.inc();
       append_records(id, state, report.refreshed);
@@ -391,10 +431,10 @@ RecoveryReport SiloController::recover(
     degraded.tenant_class = TenantClass::kBestEffort;
     if (auto placed = engine_.place(degraded)) {
       state.engine_id = placed->id;
+      note_changed(-1, placed->id);
       engine_to_external_.emplace(placed->id, id);
       state.vm_to_server = placed->vm_to_server;
-      state.status = TenantStatus::kDegraded;
-      count_status(state.status, +1);
+      set_status(id, state, TenantStatus::kDegraded);
       report.degraded.push_back(id);
       m_degraded_.inc();
       emit_config_deltas(id, state, /*now_paced=*/false);
@@ -403,8 +443,7 @@ RecoveryReport SiloController::recover(
     state.engine_id = -1;
     state.vm_to_server.assign(
         static_cast<std::size_t>(state.request.num_vms), -1);
-    state.status = TenantStatus::kUnplaced;
-    count_status(state.status, +1);
+    set_status(id, state, TenantStatus::kUnplaced);
     report.unplaced.push_back(id);
     m_unplaced_.inc();
     emit_config_deltas(id, state, /*now_paced=*/false);
@@ -458,20 +497,19 @@ RecoveryReport SiloController::restore_link(topology::PortId port) {
   return report;
 }
 
-ControllerSnapshot SiloController::snapshot() const {
-  ControllerSnapshot snap;
-  snap.engine = engine_.snapshot();
-  snap.tenants.reserve(tenants_.size());
-  for (const auto& [id, state] : tenants_) {  // map order: ascending id
-    ControllerSnapshot::Tenant t;
-    t.id = id;
-    t.request = state.request;
-    t.status = static_cast<std::uint8_t>(state.status);
-    t.engine_id = state.engine_id;
-    t.vm_to_server = state.vm_to_server;
-    t.paced_vm_to_server = state.paced_vm_to_server;
-    snap.tenants.push_back(std::move(t));
-  }
+ControllerSnapshot::Tenant SiloController::snapshot_entry(
+    placement::TenantId id, const TenantState& state) {
+  ControllerSnapshot::Tenant t;
+  t.id = id;
+  t.request = state.request;
+  t.status = static_cast<std::uint8_t>(state.status);
+  t.engine_id = state.engine_id;
+  t.vm_to_server = state.vm_to_server;
+  t.paced_vm_to_server = state.paced_vm_to_server;
+  return t;
+}
+
+void SiloController::capture_globals(ControllerSnapshot& snap) const {
   // Fixed order; restore_snapshot() replays these onto fresh counters so
   // recovered metrics match the never-crashed controller exactly.
   snap.counters = {m_admissions_.value(),    m_rejections_.value(),
@@ -484,25 +522,35 @@ ControllerSnapshot SiloController::snapshot() const {
   snap.leases = active_leases();
   snap.lease_epoch = lease_epoch_;
   snap.next_lease_id = next_lease_id_;
+}
+
+ControllerSnapshot SiloController::snapshot() const {
+  ControllerSnapshot snap;
+  snap.engine = engine_.snapshot();
+  snap.tenants.reserve(tenants_.size());
+  for (const auto& [id, state] : tenants_)  // map order: ascending id
+    snap.tenants.push_back(snapshot_entry(id, state));
+  capture_globals(snap);
   return snap;
 }
 
-void SiloController::restore_snapshot(const ControllerSnapshot& snap) {
+void SiloController::restore_snapshot(ControllerSnapshot snap) {
   if (!tenants_.empty() || m_admissions_.value() != 0 ||
       m_rejections_.value() != 0)
     throw std::logic_error(
         "SiloController::restore_snapshot requires a fresh controller");
   engine_.restore(snap.engine);
-  for (const auto& t : snap.tenants) {
+  for (auto& t : snap.tenants) {  // ascending id
     TenantState state;
     state.request = t.request;
-    state.vm_to_server = t.vm_to_server;
-    state.paced_vm_to_server = t.paced_vm_to_server;
+    state.vm_to_server = std::move(t.vm_to_server);
+    state.paced_vm_to_server = std::move(t.paced_vm_to_server);
     state.engine_id = t.engine_id;
     state.status = static_cast<TenantStatus>(t.status);
     if (t.engine_id >= 0) engine_to_external_.emplace(t.engine_id, t.id);
-    count_status(state.status, +1);
-    tenants_.emplace(t.id, std::move(state));
+    if (state.status != TenantStatus::kGuaranteed)
+      non_guaranteed_.insert(non_guaranteed_.end(), t.id);
+    tenants_.emplace_hint(tenants_.end(), t.id, std::move(state));
   }
   if (snap.counters.size() >= 10) {
     m_admissions_.inc(snap.counters[0]);
@@ -526,6 +574,7 @@ void SiloController::restore_snapshot(const ControllerSnapshot& snap) {
   lease_epoch_ = snap.lease_epoch;
   next_lease_id_ = snap.next_lease_id;
   m_lease_active_.set(static_cast<std::int64_t>(leases_.size()));
+  compact_full_ = true;  // this state is not the journal's retained snapshot
 }
 
 void SiloController::recover_from_journal(DeltaJournal& journal,
@@ -574,6 +623,9 @@ void SiloController::recover_from_journal(DeltaJournal& journal,
   replaying_ = false;
   journal.note_replay(static_cast<std::int64_t>(journal.records().size()));
   attach_journal(&journal, snapshot_every);
+  // The state is the journal's snapshot plus the replayed ops, whose
+  // changes were tracked: compaction carries on with deltas.
+  compact_full_ = false;
 }
 
 std::vector<int> SiloController::paced_servers() const {
@@ -630,8 +682,12 @@ DatacenterStats SiloController::stats() const {
   s.total_slots = topo_.total_vm_slots();
   s.free_slots = engine_.free_slots();
   s.admitted_tenants = engine_.admitted_tenants();
-  s.degraded_tenants = degraded_count_;
-  s.unplaced_tenants = unplaced_count_;
+  for (const auto id : non_guaranteed_) {
+    if (tenants_.at(id).status == TenantStatus::kDegraded)
+      ++s.degraded_tenants;
+    else
+      ++s.unplaced_tenants;
+  }
   s.max_port_reservation = engine_.max_port_reservation();
   s.max_queue_headroom_used = engine_.max_queue_headroom_used();
   return s;

@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "model/guarantee.h"
@@ -154,8 +155,9 @@ class SiloController {
 
   /// Journal every subsequent mutation (write-ahead: the record is
   /// appended before the op executes). When `snapshot_every > 0` the
-  /// journal is compacted with an exact snapshot() after that many
-  /// journaled ops. The journal must outlive the controller.
+  /// journal is compacted after that many journaled ops: the first
+  /// compaction writes the full snapshot(), later ones fold in only the
+  /// tenant entries changed since. The journal must outlive the controller.
   void attach_journal(DeltaJournal* journal, std::int64_t snapshot_every = 0);
 
   /// Rebuild state by replaying `journal` (snapshot restore + record
@@ -168,10 +170,11 @@ class SiloController {
   void recover_from_journal(DeltaJournal& journal,
                             std::int64_t snapshot_every = 0);
 
-  /// Exact logical state (engine snapshot + tenant map + counters).
+  /// Exact logical state (engine snapshot + tenant map + counters) — the
+  /// reference every compacted journal snapshot must equal.
   ControllerSnapshot snapshot() const;
   /// Restore from snapshot(); fresh controllers only (throws otherwise).
-  void restore_snapshot(const ControllerSnapshot& snap);
+  void restore_snapshot(ControllerSnapshot snap);
 
   /// Servers with at least one shipped (paced) record, ascending — the
   /// control channel resyncs its shadow tables from these after recovery.
@@ -211,7 +214,10 @@ class SiloController {
   RecoveryReport recover(std::vector<placement::TenantId> affected);
   std::vector<placement::TenantId> to_external(
       const std::vector<placement::TenantId>& engine_ids) const;
-  std::vector<placement::TenantId> non_guaranteed_tenants() const;
+  /// Degraded and unplaced tenants, ascending: what a restore re-validates.
+  std::vector<placement::TenantId> non_guaranteed_tenants() const {
+    return {non_guaranteed_.begin(), non_guaranteed_.end()};
+  }
   void append_records(placement::TenantId id, const TenantState& state,
                       std::vector<PacerConfigRecord>& out) const;
   PacerConfigRecord make_record(placement::TenantId id,
@@ -222,8 +228,9 @@ class SiloController {
   /// cleared only) in kFullRescan mode.
   void emit_config_deltas(placement::TenantId id, TenantState& state,
                           bool now_paced);
-  /// Keep degraded_count_/unplaced_count_ in sync on a status change.
-  void count_status(TenantStatus status, int delta);
+  /// Every status change goes through here to keep non_guaranteed_ exact.
+  void set_status(placement::TenantId id, TenantState& state,
+                  TenantStatus status);
   /// Revoke every lease naming `id` as owner or borrower (placement is
   /// changing under it). Runs inside already-journaled ops — release and
   /// recovery — so replay reproduces the cascade without extra records.
@@ -233,8 +240,19 @@ class SiloController {
                         std::vector<PacerLeaseRecord> upserts);
   /// Write-ahead append (no-op when unattached or replaying).
   void journal_op(JournalRecord rec);
-  /// Compact the journal with a fresh snapshot every snapshot_every_ ops.
+  /// Compact the journal every snapshot_every_ ops: a full snapshot() when
+  /// compact_full_, else the snapshot_delta().
   void maybe_compact();
+  /// Record that tenant `id`'s and engine tenant `engine_id`'s snapshot
+  /// entries changed (either may be -1), while a compaction will need it.
+  void note_changed(placement::TenantId id, placement::TenantId engine_id);
+  /// The entries changed since the last compaction, as a SnapshotDelta.
+  SnapshotDelta snapshot_delta();
+  /// Fill the controller-layer global fields of `snap`: counters, leases,
+  /// lease epoch and lease id cursor.
+  void capture_globals(ControllerSnapshot& snap) const;
+  static ControllerSnapshot::Tenant snapshot_entry(placement::TenantId id,
+                                                   const TenantState& state);
 
   topology::Topology topo_;
   placement::PlacementEngine engine_;
@@ -244,8 +262,8 @@ class SiloController {
   /// server_config used to need).
   std::map<placement::TenantId, placement::TenantId> engine_to_external_;
   std::vector<PacerConfigDelta> pending_deltas_;
-  int degraded_count_ = 0;
-  int unplaced_count_ = 0;
+  /// Degraded and unplaced tenant ids: restores walk these, not tenants_.
+  std::set<placement::TenantId> non_guaranteed_;
   std::map<std::uint64_t, PacerLeaseRecord> leases_;  ///< active, by id
   std::uint64_t lease_epoch_ = 0;
   std::uint64_t next_lease_id_ = 1;
@@ -254,6 +272,13 @@ class SiloController {
   std::int64_t snapshot_every_ = 0;
   std::int64_t ops_since_snapshot_ = 0;
   bool replaying_ = false;
+  /// Ids whose snapshot entries changed since the journal's retained
+  /// snapshot (unsorted, may repeat). Kept through ops and replay.
+  std::vector<placement::TenantId> changed_tenants_;
+  std::vector<placement::TenantId> changed_engine_ids_;
+  /// The state was not derived from the journal's retained snapshot
+  /// (attach_journal, restore_snapshot): the next compaction is full.
+  bool compact_full_ = false;
 
   obs::MetricsRegistry metrics_;
   obs::Counter m_admissions_;

@@ -13,12 +13,16 @@
 // as pacer_config_checksum): each record's `chain` folds the previous chain
 // head with the record payload, so truncation, reordering, or bit-rot
 // anywhere breaks verification of everything after it. Periodic compaction
-// replaces the prefix with an exact ControllerSnapshot; the snapshot's
-// serialized bytes are mixed into the chain, keeping it continuous across
-// compactions.
+// replaces the prefix with an exact ControllerSnapshot, which the journal
+// retains keyed by tenant id with one cached digest per entry. A delta
+// compaction folds in only the entries that changed (SnapshotDelta), and
+// the snapshot's digest — a fold of the entry digests and the global
+// fields' digest — is mixed into the chain, keeping it continuous across
+// compactions at a cost proportional to what changed.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,6 +73,7 @@ struct ControllerSnapshot {
     std::int64_t engine_id = -1;
     std::vector<int> vm_to_server;
     std::vector<int> paced_vm_to_server;
+    friend bool operator==(const Tenant&, const Tenant&) = default;
   };
   placement::EngineSnapshot engine;
   std::vector<Tenant> tenants;          ///< ascending id
@@ -76,6 +81,21 @@ struct ControllerSnapshot {
   std::vector<PacerLeaseRecord> leases; ///< active leases, ascending id
   std::uint64_t lease_epoch = 0;        ///< controller lease epoch
   std::uint64_t next_lease_id = 1;      ///< lease id allocator cursor
+  friend bool operator==(const ControllerSnapshot&,
+                         const ControllerSnapshot&) = default;
+};
+
+/// What a delta compaction folds into the retained snapshot: the tenant
+/// entries (controller and engine) that changed since it was taken, and
+/// the small global fields in full. Applying it to the retained snapshot
+/// yields exactly the controller's snapshot().
+struct SnapshotDelta {
+  /// Every ControllerSnapshot field except the two tenant lists (empty).
+  ControllerSnapshot globals;
+  std::vector<ControllerSnapshot::Tenant> tenants;  ///< upserted entries
+  std::vector<std::int64_t> erased_tenants;
+  std::vector<placement::EngineSnapshot::Tenant> engine_tenants;
+  std::vector<placement::TenantId> erased_engine_tenants;
 };
 
 /// Append-only op log with chained checksums and compacted snapshots.
@@ -90,18 +110,25 @@ class DeltaJournal {
   std::uint64_t append(JournalRecord rec);
 
   /// Replace everything up to now with an exact snapshot; subsequent
-  /// records chain from the snapshot's serialized bytes.
+  /// records chain from the snapshot's digest.
   void compact(ControllerSnapshot snapshot);
+  /// The same, but folding only what changed into the retained snapshot
+  /// (which must exist unless the delta carries the whole state):
+  /// re-encodes, re-hashes and copies only the delta's entries.
+  void compact(SnapshotDelta delta);
 
-  bool has_snapshot() const { return snapshot_.has_value(); }
-  const ControllerSnapshot& snapshot() const { return *snapshot_; }
+  bool has_snapshot() const { return retained_.has_value(); }
+  /// The retained snapshot, materialized (tenant lists in ascending id).
+  /// Requires has_snapshot().
+  ControllerSnapshot snapshot() const;
   /// Records appended since the last compaction (oldest first).
   const std::vector<JournalRecord>& records() const { return records_; }
   std::uint64_t chain() const { return chain_; }
   std::int64_t total_appends() const { return m_appends_.value(); }
 
-  /// Recompute the chain from the last trusted base (snapshot-or-genesis)
-  /// and compare against every stored chain value.
+  /// Recompute the chain from the last trusted base (snapshot-or-genesis,
+  /// re-hashing every snapshot entry) and compare against every stored
+  /// chain value.
   bool verify() const;
 
   /// Durable byte form (what a deployment would fsync). deserialize()
@@ -116,17 +143,43 @@ class DeltaJournal {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  /// Chain value at the last compaction, before the snapshot bytes were
+  /// The retained snapshot, keyed by id. Each entry caches the FNV-1a
+  /// digest of its encoding; the sums let a compaction update the
+  /// snapshot digest in O(changed entries).
+  struct Retained {
+    template <class T>
+    struct Entry {
+      T value;
+      std::uint64_t digest = 0;
+    };
+    ControllerSnapshot globals;  ///< tenant lists always empty
+    std::uint64_t globals_digest = 0;
+    std::map<std::int64_t, Entry<ControllerSnapshot::Tenant>> tenants;
+    std::map<placement::TenantId, Entry<placement::EngineSnapshot::Tenant>>
+        engine_tenants;
+    std::uint64_t tenant_sum = 0;  ///< wrapping sum of tenants' digests
+    std::uint64_t engine_sum = 0;  ///< wrapping sum of engine_tenants'
+  };
+
+  /// Fold the cached digests into the snapshot digest; with `rehash`,
+  /// recompute every entry's digest from its value instead.
+  static std::uint64_t digest(const Retained& r, bool rehash);
+  /// Check every stored chain value, starting from the given digest of
+  /// the retained snapshot (ignored when there is none).
+  bool chain_holds(std::uint64_t snapshot_digest) const;
+
+  /// Chain value at the last compaction, before the snapshot digest was
   /// mixed in (FNV offset basis when never compacted). verify() restarts
   /// from here.
   std::uint64_t pre_snapshot_chain_;
-  std::optional<ControllerSnapshot> snapshot_;
+  std::optional<Retained> retained_;
   std::vector<JournalRecord> records_;
   std::uint64_t chain_;
 
   obs::MetricsRegistry metrics_;
   obs::Counter m_appends_;           ///< records ever appended
   obs::Counter m_snapshots_;         ///< compactions performed
+  obs::Counter m_compacted_entries_; ///< snapshot entries written or erased
   obs::Counter m_replays_;           ///< recoveries replayed from this journal
   obs::Counter m_replayed_records_;  ///< records replayed across recoveries
 };

@@ -21,6 +21,7 @@ struct SiloGuarantee {
   RateBps burst_rate {};       ///< Bmax, bits/s (>= bandwidth)
 
   bool wants_delay_guarantee() const { return delay > TimeNs{0}; }
+  friend bool operator==(const SiloGuarantee&, const SiloGuarantee&) = default;
 };
 
 /// Tenant service classes used throughout the paper's evaluation.
@@ -38,6 +39,7 @@ struct TenantRequest {
   /// at least this many servers (each server is a fault domain). 1 means
   /// no spreading constraint.
   int min_fault_domains = 1;
+  friend bool operator==(const TenantRequest&, const TenantRequest&) = default;
 };
 
 /// Worst-case latency of an M-byte message sent by a VM whose burst

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,8 @@ struct PacerLeaseRecord {
   RateBps rate {};             ///< extra send rate on loan
   std::uint64_t issued_epoch = 0;
   std::uint64_t expiry_epoch = 0;  ///< dead once table epoch >= this
+  friend bool operator==(const PacerLeaseRecord&,
+                         const PacerLeaseRecord&) = default;
 };
 
 /// Incremental update to one server's pacer state. Removals apply before
@@ -85,38 +88,50 @@ struct PacerApplyResult {
   int lease_expired = 0;
 };
 
+namespace detail {
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+/// FNV-1a step over the 8 little-endian bytes of `v`.
+inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+}
+
+inline void fnv_mix_rate(std::uint64_t& h, RateBps r) {
+  const double d = r.bps();
+  std::uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  fnv_mix(h, bits);
+}
+
+/// One record's contribution to pacer_config_checksum.
+inline void fnv_mix_record(std::uint64_t& h, const PacerConfigRecord& rec) {
+  fnv_mix(h, static_cast<std::uint64_t>(rec.tenant));
+  fnv_mix(h, static_cast<std::uint64_t>(rec.vm_index));
+  fnv_mix(h, static_cast<std::uint64_t>(rec.server));
+  fnv_mix_rate(h, rec.guarantee.bandwidth);
+  fnv_mix(h, static_cast<std::uint64_t>(rec.guarantee.burst.count()));
+  fnv_mix(h, static_cast<std::uint64_t>(rec.guarantee.delay.count()));
+  fnv_mix_rate(h, rec.guarantee.burst_rate);
+  fnv_mix(h, static_cast<std::uint64_t>(rec.peers.size()));
+  for (const auto& [vm, server] : rec.peers) {
+    fnv_mix(h, static_cast<std::uint64_t>(vm));
+    fnv_mix(h, static_cast<std::uint64_t>(server));
+  }
+}
+
+}  // namespace detail
+
 /// FNV-1a over a record sequence; the golden tests compare delta-built
 /// tables against full snapshots through this.
 inline std::uint64_t pacer_config_checksum(
     const std::vector<PacerConfigRecord>& records) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  auto mix_rate = [&](RateBps r) {
-    const double d = r.bps();
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
-  for (const auto& rec : records) {
-    mix(static_cast<std::uint64_t>(rec.tenant));
-    mix(static_cast<std::uint64_t>(rec.vm_index));
-    mix(static_cast<std::uint64_t>(rec.server));
-    mix_rate(rec.guarantee.bandwidth);
-    mix(static_cast<std::uint64_t>(rec.guarantee.burst.count()));
-    mix(static_cast<std::uint64_t>(rec.guarantee.delay.count()));
-    mix_rate(rec.guarantee.burst_rate);
-    mix(static_cast<std::uint64_t>(rec.peers.size()));
-    for (const auto& [vm, server] : rec.peers) {
-      mix(static_cast<std::uint64_t>(vm));
-      mix(static_cast<std::uint64_t>(server));
-    }
-  }
+  std::uint64_t h = detail::kFnvOffset;
+  for (const auto& rec : records) detail::fnv_mix_record(h, rec);
   return h;
 }
 
@@ -127,26 +142,16 @@ inline std::uint64_t pacer_config_checksum(
 /// docs/WORKCONSERVING.md "Why leases are outside anti-entropy").
 inline std::uint64_t pacer_lease_checksum(
     const std::vector<PacerLeaseRecord>& leases) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = detail::kFnvOffset;
   for (const auto& l : leases) {
-    mix(l.id);
-    mix(static_cast<std::uint64_t>(l.owner));
-    mix(static_cast<std::uint64_t>(l.borrower));
-    mix(static_cast<std::uint64_t>(l.vm_index));
-    mix(static_cast<std::uint64_t>(l.server));
-    const double d = l.rate.bps();
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-    mix(l.issued_epoch);
-    mix(l.expiry_epoch);
+    detail::fnv_mix(h, l.id);
+    detail::fnv_mix(h, static_cast<std::uint64_t>(l.owner));
+    detail::fnv_mix(h, static_cast<std::uint64_t>(l.borrower));
+    detail::fnv_mix(h, static_cast<std::uint64_t>(l.vm_index));
+    detail::fnv_mix(h, static_cast<std::uint64_t>(l.server));
+    detail::fnv_mix_rate(h, l.rate);
+    detail::fnv_mix(h, l.issued_epoch);
+    detail::fnv_mix(h, l.expiry_epoch);
   }
   return h;
 }
@@ -166,6 +171,7 @@ class PacerConfigTable {
   /// Folds one delta in (removes before upserts, config before leases).
   PacerApplyResult apply(const PacerConfigDelta& delta) {
     PacerApplyResult res;
+    if (!delta.removes.empty() || !delta.upserts.empty()) checksum_.reset();
     for (const auto& key : delta.removes)
       if (records_.erase(key) == 0) ++res.stale_removes;
     for (const auto& rec : delta.upserts)
@@ -240,13 +246,24 @@ class PacerConfigTable {
     return out;
   }
 
-  std::uint64_t checksum() const { return pacer_config_checksum(records()); }
+  /// pacer_config_checksum(records()), folded over the table in place and
+  /// cached until the next apply() that touches records: anti-entropy and
+  /// convergence checks ask every server for it, most of them unchanged.
+  std::uint64_t checksum() const {
+    if (!checksum_) {
+      std::uint64_t h = detail::kFnvOffset;
+      for (const auto& [key, rec] : records_) detail::fnv_mix_record(h, rec);
+      checksum_ = h;
+    }
+    return *checksum_;
+  }
   std::uint64_t lease_checksum() const {
     return pacer_lease_checksum(leases());
   }
 
  private:
   std::map<std::pair<std::int64_t, int>, PacerConfigRecord> records_;
+  mutable std::optional<std::uint64_t> checksum_;  ///< of records_, if known
   std::map<std::uint64_t, PacerLeaseRecord> leases_;  ///< by lease id
   /// Cleanly-expired lease ids -> expiry epoch, kept a few epochs so a
   /// racing revoke is classified benign (pruned in advance_epoch).

@@ -604,16 +604,27 @@ void PlacementEngine::remove(TenantId id) {
 }
 
 EngineSnapshot PlacementEngine::snapshot() const {
-  EngineSnapshot snap;
+  EngineSnapshot snap = snapshot_globals();
   snap.tenants.reserve(tenants_.size());
-  for (const auto& [id, rec] : tenants_) {  // map order: ascending id
-    EngineSnapshot::Tenant t;
-    t.id = id;
-    t.request = rec.request;
-    t.vm_to_server = rec.vm_to_server;
-    t.contributions = rec.contributions;
-    snap.tenants.push_back(std::move(t));
-  }
+  for (const auto& [id, rec] : tenants_)  // map order: ascending id
+    snap.tenants.push_back(*snapshot_tenant(id));
+  return snap;
+}
+
+std::optional<EngineSnapshot::Tenant> PlacementEngine::snapshot_tenant(
+    TenantId id) const {
+  const auto it = tenants_.find(id);
+  if (it == tenants_.end()) return std::nullopt;
+  EngineSnapshot::Tenant t;
+  t.id = id;
+  t.request = it->second.request;
+  t.vm_to_server = it->second.vm_to_server;
+  t.contributions = it->second.contributions;
+  return t;
+}
+
+EngineSnapshot PlacementEngine::snapshot_globals() const {
+  EngineSnapshot snap;
   for (int s = 0; s < topo_.num_servers(); ++s) {
     if (!server_failed_[static_cast<std::size_t>(s)]) continue;
     snap.failed_servers.push_back(

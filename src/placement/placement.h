@@ -62,16 +62,19 @@ struct EngineSnapshot {
     TenantRequest request;  ///< as admitted (degraded tenants: best-effort copy)
     std::vector<int> vm_to_server;
     std::vector<std::pair<int, PortContribution>> contributions;
+    friend bool operator==(const Tenant&, const Tenant&) = default;
   };
   struct FailedServer {
     int server = -1;
     int free_slots = 0;    ///< free-slot count frozen at failure time
     int quarantined = 0;   ///< slots freed on the dead host since
+    friend bool operator==(const FailedServer&, const FailedServer&) = default;
   };
   std::vector<Tenant> tenants;              ///< ascending id
   std::vector<FailedServer> failed_servers; ///< ascending server
   std::vector<int> failed_ports;            ///< ascending PortId value
   TenantId next_id = 0;
+  friend bool operator==(const EngineSnapshot&, const EngineSnapshot&) = default;
 };
 
 class PlacementEngine {
@@ -147,6 +150,10 @@ class PlacementEngine {
 
   /// Capture the engine's exact logical state (journal compaction).
   EngineSnapshot snapshot() const;
+  /// snapshot() in parts, for delta compaction: everything but the tenant
+  /// list, and one tenant's entry (nullopt when `id` is not admitted).
+  EngineSnapshot snapshot_globals() const;
+  std::optional<EngineSnapshot::Tenant> snapshot_tenant(TenantId id) const;
   /// Rebuild from a snapshot. Only valid on a fresh engine (no tenants
   /// admitted, same topology/policy/mode as the captured one); throws
   /// std::logic_error otherwise. After restore the engine makes the same

@@ -21,6 +21,8 @@ struct PortContribution {
   double burst_bytes = 0;     ///< burst after upstream propagation
   double burst_rate_bps = 0;  ///< rate at which the burst can arrive
   double jump_bytes = 0;      ///< instantaneous packet-granularity jump
+  friend bool operator==(const PortContribution&,
+                         const PortContribution&) = default;
 };
 
 class PortLoad {

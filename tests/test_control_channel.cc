@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "compaction_check.h"
 #include "core/controller.h"
 #include "core/journal.h"
 #include "sim/cluster.h"
@@ -208,6 +209,69 @@ TEST(ControlChannel, AgentCountsGapsDuplicatesAndStaleEpochs) {
   EXPECT_EQ(r.applied, 0);
 }
 
+TEST(ControlChannel, CachedTableChecksumMatchesRecordFold) {
+  // PacerConfigTable caches checksum() until its records next change. It
+  // must always equal the fold over records(): through seeded applies
+  // (read between some, not others), lease-only deltas that leave the
+  // records alone, and snapshot-repair resets.
+  const int server = 2;
+  Rng rng(41);
+  PacerAgentFleet fleet;
+  std::int64_t seq = 0;
+  const auto record = [&](std::int64_t tenant, int vm) {
+    PacerConfigRecord rec;
+    rec.tenant = tenant;
+    rec.vm_index = vm;
+    rec.server = server;
+    rec.guarantee = {(100 + 100 * rng.uniform_int(0, 4)) * kMbps,
+                     Bytes{1500 * rng.uniform_int(1, 10)}, 1 * kMsec,
+                     1 * kGbps};
+    for (int p = 0, n = static_cast<int>(rng.uniform_int(0, 3)); p < n; ++p)
+      rec.peers.emplace_back(p, static_cast<int>(rng.uniform_int(0, 15)));
+    return rec;
+  };
+  const auto key = [&] {
+    return std::pair<std::int64_t, int>{
+        rng.uniform_int(0, 5), static_cast<int>(rng.uniform_int(0, 3))};
+  };
+  int reads = 0;
+  for (int step = 0; step < 400; ++step) {
+    const auto roll = rng.uniform_int(0, 9);
+    if (roll < 7) {
+      PacerConfigDelta delta;
+      delta.server = server;
+      for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 2)); i < n; ++i)
+        delta.removes.push_back(key());
+      for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 3)); i < n; ++i) {
+        const auto [tenant, vm] = key();
+        delta.upserts.push_back(record(tenant, vm));
+      }
+      fleet.deliver_delta(server, /*epoch=*/1, ++seq, delta);
+    } else if (roll < 8) {
+      PacerConfigDelta lease_only;
+      lease_only.server = server;
+      lease_only.lease_epoch = static_cast<std::uint64_t>(step);
+      fleet.deliver_delta(server, 1, ++seq, lease_only);
+    } else {
+      std::vector<PacerConfigRecord> snapshot;
+      for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 6)); i < n; ++i) {
+        const auto [tenant, vm] = key();
+        snapshot.push_back(record(tenant, vm));
+      }
+      fleet.deliver_snapshot(server, 1, seq, snapshot);
+    }
+    if (rng.uniform() < 0.6) {
+      const PacerConfigTable* table = fleet.table(server);
+      ASSERT_NE(table, nullptr);
+      ++reads;
+      EXPECT_EQ(table->checksum(), pacer_config_checksum(table->records()))
+          << "step " << step;
+      EXPECT_EQ(fleet.checksum(server), table->checksum()) << "step " << step;
+    }
+  }
+  EXPECT_GT(reads, 100);
+}
+
 TEST(ControlChannel, StaleRemovesAreCountedNotSwallowed) {
   // Table level: apply() reports how many removes missed.
   PacerConfigTable table;
@@ -390,6 +454,7 @@ ControlSoakOutcome run_control_soak(std::uint64_t seed) {
   ctl.emplace(ctl_topo);
   DeltaJournal journal;
   ctl->attach_journal(&journal, /*snapshot_every=*/8);
+  CompactionCheck check_compaction(journal);
   PacerAgentFleet fleet;
   std::int64_t hook_applies = 0;
   fleet.set_apply_hook(
@@ -427,11 +492,13 @@ ControlSoakOutcome run_control_soak(std::uint64_t seed) {
       const int anchor = live[i].vm_to_server.front();
       if (anchor >= 0) {
         ctl->handle_server_failure(anchor);
+        check_compaction(*ctl);
         ctl->restore_server(anchor);
         for (auto& handle : live)
           handle.vm_to_server = ctl->tenant_placement(handle.id);
       }
     }
+    check_compaction(*ctl);
     channel.ship(ctl->drain_config_deltas());
   };
   for (int i = 0; i < 75; ++i)
@@ -474,6 +541,7 @@ ControlSoakOutcome run_control_soak(std::uint64_t seed) {
   out.repaired = m.value("controller.channel.desyncs_repaired");
   out.replays = journal.metrics().value("controller.journal.replays");
   EXPECT_GT(hook_applies, 0);
+  EXPECT_GE(check_compaction.checked(), 3);
   return out;
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <vector>
 
+#include "compaction_check.h"
 #include "core/controller.h"
 #include "util/rng.h"
 
@@ -227,6 +231,108 @@ TEST(Controller, ServerFailureUnplacedWhenNoSlotsThenRestored) {
   EXPECT_EQ(ctl.tenant_status(h->id), TenantStatus::kGuaranteed);
   EXPECT_EQ(ctl.stats().unplaced_tenants, 0);
   EXPECT_EQ(ctl.stats().free_slots, 0);  // both slots in use again
+}
+
+// --- Restore index ---------------------------------------------------------
+
+TEST(ControllerRecovery, RestoreIndexMatchesScanUnderRealDegradation) {
+  // A small fabric kept near full while failed servers and links stay dead
+  // for several ops, so recoveries really degrade and unplace tenants.
+  // After every op the indexed degraded/unplaced counts must equal a scan
+  // of the live tenants, and every restore must re-validate exactly the
+  // tenants that were not guaranteed before it. A journal compacting every
+  // third op checks delta compaction over the same statuses.
+  topology::TopologyConfig cfg;
+  cfg.pods = 1;
+  cfg.racks_per_pod = 2;
+  cfg.servers_per_rack = 2;
+  cfg.vm_slots_per_server = 3;
+  SiloController ctl(cfg);
+  DeltaJournal journal;
+  ctl.attach_journal(&journal, /*snapshot_every=*/3);
+  CompactionCheck check_compaction(journal);
+  Rng rng(29);
+  std::vector<TenantHandle> live;
+  std::vector<int> dead_servers;
+  std::vector<topology::PortId> dead_links;
+
+  struct Scan {
+    std::vector<placement::TenantId> non_guaranteed;  // ascending
+    int degraded = 0;
+    int unplaced = 0;
+  };
+  const auto scan = [&] {
+    Scan out;
+    for (const auto& h : live) {
+      const auto st = ctl.tenant_status(h.id);
+      if (st == TenantStatus::kGuaranteed) continue;
+      out.non_guaranteed.push_back(h.id);
+      (st == TenantStatus::kDegraded ? out.degraded : out.unplaced) += 1;
+    }
+    std::sort(out.non_guaranteed.begin(), out.non_guaranteed.end());
+    return out;
+  };
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  int max_degraded = 0, max_unplaced = 0, restores = 0;
+  for (int op = 0; op < 600; ++op) {
+    const Scan before = scan();
+    std::optional<RecoveryReport> restored;
+    const auto roll = rng.uniform_int(0, 9);
+    if (roll < 4 || live.empty()) {
+      if (const auto h = ctl.admit(tenant(2 + static_cast<int>(
+                             rng.uniform_int(0, 2)))))
+        live.push_back(*h);
+    } else if (roll < 5) {
+      const auto i = pick(live.size());
+      ctl.release(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    } else if (roll < 7 && dead_servers.size() < 2) {
+      const int server = static_cast<int>(pick(
+          static_cast<std::size_t>(ctl.topo().num_servers())));
+      if (std::find(dead_servers.begin(), dead_servers.end(), server) ==
+          dead_servers.end()) {
+        ctl.handle_server_failure(server);
+        dead_servers.push_back(server);
+      }
+    } else if (roll < 8 && dead_links.size() < 2) {
+      const auto port = ctl.topo().server_down(static_cast<int>(
+          pick(static_cast<std::size_t>(ctl.topo().num_servers()))));
+      if (std::find(dead_links.begin(), dead_links.end(), port) ==
+          dead_links.end()) {
+        ctl.handle_link_failure(port);
+        dead_links.push_back(port);
+      }
+    } else if (roll < 9 && !dead_servers.empty()) {
+      const auto i = pick(dead_servers.size());
+      restored = ctl.restore_server(dead_servers[i]);
+      dead_servers.erase(dead_servers.begin() + static_cast<long>(i));
+    } else if (!dead_links.empty()) {
+      const auto i = pick(dead_links.size());
+      restored = ctl.restore_link(dead_links[i]);
+      dead_links.erase(dead_links.begin() + static_cast<long>(i));
+    }
+    if (restored) {
+      ++restores;
+      EXPECT_EQ(restored->affected, before.non_guaranteed) << "op " << op;
+    }
+    check_compaction(ctl);
+    const Scan after = scan();
+    const auto st = ctl.stats();
+    EXPECT_EQ(st.degraded_tenants, after.degraded) << "op " << op;
+    EXPECT_EQ(st.unplaced_tenants, after.unplaced) << "op " << op;
+    max_degraded = std::max(max_degraded, after.degraded);
+    max_unplaced = std::max(max_unplaced, after.unplaced);
+  }
+  // The storm must really exercise the index, not just keep it empty.
+  EXPECT_GT(max_degraded, 0);
+  EXPECT_GT(max_unplaced, 0);
+  EXPECT_GT(restores, 50);
+  EXPECT_GT(check_compaction.checked(), 100);
 }
 
 // --- Incremental pacer-config diff protocol (goldens) ---------------------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "compaction_check.h"
 #include "core/controller.h"
 #include "core/journal.h"
 #include "util/rng.h"
@@ -129,6 +130,114 @@ TEST(Journal, CompactionBoundsRecordsAndKeepsChainContinuity) {
   EXPECT_EQ(recovered.stats().free_slots, ctl.stats().free_slots);
 }
 
+TEST(Journal, TamperedCompactedSnapshotIsRejected) {
+  SiloController ctl(small_dc());
+  DeltaJournal journal;
+  ctl.attach_journal(&journal, /*snapshot_every=*/1);
+  Rng rng(13);
+  std::vector<TenantHandle> live;
+  for (int i = 0; i < 5; ++i)
+    if (const auto h = ctl.admit(sample_request(rng))) live.push_back(*h);
+  ASSERT_GE(live.size(), 2u);
+  ctl.release(live.front());  // delta compactions, erasures included
+  ASSERT_TRUE(journal.has_snapshot());
+  ASSERT_TRUE(journal.records().empty());
+
+  // With no loose records the blob is header, snapshot, record count (0)
+  // and chain head; an empty journal's blob locates the header's end.
+  const std::string blob = journal.serialize();
+  const std::size_t begin = DeltaJournal().serialize().size() - 16;
+  const std::size_t end = blob.size() - 16;
+  ASSERT_LT(begin, end);
+  ASSERT_TRUE(DeltaJournal::deserialize(blob).verify());
+  for (std::size_t i = begin; i < end; ++i) {
+    std::string tampered = blob;
+    tampered[i] = static_cast<char>(tampered[i] ^ 0x01);
+    EXPECT_THROW(DeltaJournal::deserialize(tampered), std::runtime_error)
+        << "byte " << i << " of the snapshot section";
+  }
+}
+
+TEST(Journal, RejectsVersionTwoBlobs) {
+  SiloController ctl(small_dc());
+  DeltaJournal journal;
+  ctl.attach_journal(&journal, /*snapshot_every=*/2);
+  Rng rng(17);
+  for (int i = 0; i < 3; ++i) ctl.admit(sample_request(rng));
+  std::string blob = journal.serialize();
+  // Bytes 8..11: the little-endian format version after the magic.
+  ASSERT_EQ(blob[8], 3);
+  blob[8] = 2;
+  try {
+    DeltaJournal::deserialize(blob);
+    ADD_FAILURE() << "a v2 blob was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown version"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Journal, CompactionFoldsOnlyChangedEntries) {
+  SiloController ctl(small_dc());
+  Rng rng(19);
+  std::vector<TenantHandle> live;
+  for (int i = 0; i < 8; ++i)
+    if (const auto h = ctl.admit(sample_request(rng))) live.push_back(*h);
+  ASSERT_GE(live.size(), 5u);
+  const auto tenants = static_cast<std::int64_t>(live.size());
+
+  DeltaJournal journal;
+  const auto entries = [&] {
+    return journal.metrics().value("controller.journal.compacted_entries");
+  };
+  // Attached mid-life, the first compaction writes every entry: each
+  // tenant has a controller entry and an engine entry.
+  ctl.attach_journal(&journal, /*snapshot_every=*/1);
+  ctl.advance_lease_epoch();
+  EXPECT_EQ(entries(), 2 * tenants);
+  CompactionCheck check(journal);
+
+  // From then on a compaction folds only what its op changed.
+  auto before = entries();
+  ctl.advance_lease_epoch();  // global fields only
+  EXPECT_EQ(entries() - before, 0);
+  check(ctl);
+
+  TenantRequest two;
+  two.num_vms = 2;
+  two.tenant_class = TenantClass::kBandwidthOnly;
+  two.guarantee = {100 * kMbps, Bytes{1500}, TimeNs{0}, 1 * kGbps};
+  before = entries();
+  const auto h = ctl.admit(two);
+  ASSERT_TRUE(h);
+  EXPECT_EQ(entries() - before, 2);  // its controller and engine entries
+  check(ctl);
+
+  TenantRequest impossible = two;
+  impossible.num_vms = 10000;
+  before = entries();
+  EXPECT_FALSE(ctl.admit(impossible));
+  EXPECT_EQ(entries() - before, 0);  // a rejection touches counters only
+  check(ctl);
+
+  before = entries();
+  ctl.release(*h);
+  EXPECT_EQ(entries() - before, 2);  // both entries erased
+  check(ctl);
+
+  // A failure rewrites each affected tenant's controller entry, erases
+  // its old engine entry and writes the new one (none when unplaced).
+  before = entries();
+  const auto report = ctl.handle_server_failure(live.front().vm_to_server[0]);
+  ASSERT_FALSE(report.affected.empty());
+  const auto affected = static_cast<std::int64_t>(report.affected.size());
+  EXPECT_EQ(entries() - before,
+            3 * affected - static_cast<std::int64_t>(report.unplaced.size()));
+  EXPECT_LT(affected, tenants);
+  check(ctl);
+  EXPECT_EQ(check.checked(), 5);
+}
+
 TEST(Journal, RecoverRequiresFreshController) {
   SiloController ctl(small_dc());
   DeltaJournal journal;
@@ -168,6 +277,7 @@ void run_twin_storm(std::uint64_t seed, std::int64_t crash_at,
   SiloController b(cfg);  // never crashes
   DeltaJournal journal;
   a->attach_journal(&journal, snapshot_every);
+  CompactionCheck check_compaction(journal);
 
   // Hypervisor-side fold of each controller's drained delta stream.
   std::map<int, PacerConfigTable> fleet_a, fleet_b;
@@ -207,12 +317,14 @@ void run_twin_storm(std::uint64_t seed, std::int64_t crash_at,
         if (roll < 9) {
           a->handle_server_failure(anchor);
           b.handle_server_failure(anchor);
+          check_compaction(*a);
           a->restore_server(anchor);
           b.restore_server(anchor);
         } else {
           const auto port = a->topo().server_down(anchor);
           a->handle_link_failure(port);
           b.handle_link_failure(port);
+          check_compaction(*a);
           a->restore_link(port);
           b.restore_link(port);
         }
@@ -224,6 +336,7 @@ void run_twin_storm(std::uint64_t seed, std::int64_t crash_at,
     }
     drain(*a, fleet_a);
     drain(b, fleet_b);
+    check_compaction(*a);
 
     if (op == crash_at) {
       // Crash: the controller object dies; only the serialized journal
@@ -270,6 +383,7 @@ void run_twin_storm(std::uint64_t seed, std::int64_t crash_at,
   // Metric counters replay exactly (write-ahead covers rejections too).
   for (const char* name : kControllerCounters)
     EXPECT_EQ(a->metrics().value(name), b.metrics().value(name)) << name;
+  if (snapshot_every > 0) EXPECT_GE(check_compaction.checked(), 2);
 }
 
 TEST(Journal, CrashRecoveryIsBitIdenticalAcrossSeedsAndCrashPoints) {

@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "compaction_check.h"
 #include "core/controller.h"
 #include "core/journal.h"
 #include "pacer/headroom_lender.h"
@@ -380,17 +381,23 @@ TEST(LeaseController, CompactedSnapshotCarriesLeaseState) {
   SiloController ctl(tiny_dc());
   DeltaJournal journal;
   ctl.attach_journal(&journal, /*snapshot_every=*/2);
+  CompactionCheck check(journal);
   const auto owner = ctl.admit(guaranteed_request(2));
+  check(ctl);
   const auto borrower = ctl.admit(guaranteed_request(2));
+  check(ctl);
   ASSERT_TRUE(owner && borrower);
   const auto colo = colocated(*owner, *borrower);
   ASSERT_TRUE(colo.has_value());
   const auto id = ctl.grant_lease(owner->id, borrower->id, colo->borrower_vm,
                                   100 * kMbps, /*duration_epochs=*/8);
+  check(ctl);
   ASSERT_TRUE(id.has_value());
-  ctl.advance_lease_epoch();
-  ctl.advance_lease_epoch();
-  ctl.advance_lease_epoch();  // several compactions behind us by now
+  for (int i = 0; i < 3; ++i) {  // several compactions behind us by now
+    ctl.advance_lease_epoch();
+    check(ctl);
+  }
+  EXPECT_EQ(check.checked(), 3);
 
   auto reloaded = DeltaJournal::deserialize(journal.serialize());
   SiloController recovered(tiny_dc());
