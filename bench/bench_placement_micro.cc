@@ -114,6 +114,7 @@ int main(int argc, char** argv) {
         .put("requests", static_cast<std::int64_t>(attempted))
         .put("admitted", static_cast<std::int64_t>(admitted))
         .put("mean_us", micros.mean())
+        .put("median_us", micros.median())
         .put("p99_us", micros.percentile(99))
         .put("max_us", micros.max());
     bench::write_json_file("BENCH_placement_micro.json", out);

@@ -62,14 +62,9 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::vector<MetricSample> out;
   out.reserve(defs_.size());
   for (const Def& d : defs_) {
-    MetricSample s;
-    s.name = d.name;
-    s.type = d.type;
-    s.unit = d.unit;
-    s.owner = d.owner;
-    if (d.cell) s.value = *d.cell;
-    if (d.hist) s.hist = *d.hist;  // copied: samples outlive the registry
-    out.push_back(std::move(s));
+    // Histograms are copied: samples outlive the registry.
+    out.push_back({d.name, d.type, d.unit, d.owner, d.cell ? *d.cell : 0,
+                   d.hist ? std::optional(*d.hist) : std::nullopt});
   }
   return out;
 }

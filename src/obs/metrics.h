@@ -150,7 +150,7 @@ class MetricsRegistry {
  private:
   struct Def {
     std::string name, unit, owner;
-    MetricType type;
+    MetricType type = MetricType::kCounter;
     std::int64_t* cell = nullptr;
     HistogramState* hist = nullptr;
   };

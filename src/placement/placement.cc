@@ -7,7 +7,11 @@
 namespace silo::placement {
 namespace {
 
-constexpr double kRateEps = 1e-6;  // relative slack on rate comparisons
+// Highest reserved rate a port admits. The NIC pre-filter compares
+// against the same value, which is what makes it exact.
+double rate_limit(const topology::Port& p) {
+  return p.rate.bps() * (1.0 + PlacementEngine::kRateEps);
+}
 
 enum class PortKind {
   kServerUp,
@@ -70,6 +74,11 @@ PlacementEngine::PlacementEngine(const topology::Topology& topo, Policy policy,
   shard_max_qfrac_.assign(num_shards, 0.0);
   tenants_by_server_.resize(static_cast<std::size_t>(topo.num_servers()));
   tenants_by_port_.resize(static_cast<std::size_t>(topo.num_ports()));
+  const auto rows =
+      static_cast<std::size_t>(topo.config().vm_slots_per_server) + 1;
+  nic_row_.resize(rows);
+  nic_min_rate_.resize(rows);
+  for (auto& row : tor_rows_) row.resize(rows);
 }
 
 void PlacementEngine::recompute_rack_max_free(int rack) {
@@ -335,8 +344,7 @@ bool PlacementEngine::port_admits(int port, const PortContribution& c) const {
   const auto id = topology::PortId{port};
   const auto& p = topo_.port(id);
   const auto& load = port_load_[port];
-  if (load.rate_bps() + c.rate_bps > p.rate.bps() * (1.0 + kRateEps))
-    return false;
+  if (load.rate_bps() + c.rate_bps > rate_limit(p)) return false;
   // Bandwidth reservation is the whole story for Oktopus, and for the NIC
   // egress (the pacer absorbs bursts before the wire, so feasibility there
   // is purely about sustained rate).
@@ -365,25 +373,83 @@ bool PlacementEngine::server_ports_ok(const TenantRequest& req, int server,
   return port_admits(topo_.server_down(server).value, down);
 }
 
+int PlacementEngine::rescan_vms_on(const TenantRequest& req, int server,
+                                   int cap, Scope scope) const {
+  for (int m = cap; m >= 1; --m)
+    if (server_ports_ok(req, server, m, scope)) return m;
+  return 0;
+}
+
+void PlacementEngine::fill_nic_row(const TenantRequest& req, int cap) {
+  // upstream_capacity(kServerUp, scope) is 0 at every scope: the NIC
+  // egress is the pacer's conformance point.
+  const RateBps link = topo_.config().server_link_rate;
+  for (int m = nic_filled_ + 1; m <= cap; ++m) {
+    const auto i = static_cast<std::size_t>(m);
+    nic_row_[i] = cut_contribution(req, m, TimeNs{0}, link);
+    nic_min_rate_[i] = m == 1 ? nic_row_[i].rate_bps
+                              : std::min(nic_min_rate_[i - 1],
+                                         nic_row_[i].rate_bps);
+  }
+  nic_filled_ = cap;
+}
+
+const PortContribution& PlacementEngine::tor_entry(const TenantRequest& req,
+                                                   Scope scope, int m) {
+  auto& e = tor_rows_[static_cast<std::size_t>(scope)]
+                     [static_cast<std::size_t>(m)];
+  if (e.stamp != probe_stamp_) {
+    e.c = cut_contribution(
+        req, req.num_vms - m,
+        upstream_capacity(static_cast<int>(PortKind::kServerDown), scope),
+        topo_.config().server_link_rate);
+    e.stamp = probe_stamp_;
+  }
+  return e.c;
+}
+
+int PlacementEngine::vms_on(const TenantRequest& req, int server, int cap,
+                            Scope scope) {
+  // server_ports_ok passes every probe without touching a port for these.
+  if (policy_ == Policy::kLocality ||
+      req.tenant_class == TenantClass::kBestEffort || cap >= req.num_vms)
+    return cap;
+  if (cap > nic_filled_) fill_nic_row(req, cap);
+  const topology::PortId up = topo_.server_up(server);
+  // Exact NIC pre-filter: the cheapest probe's rate already overflows the
+  // NIC, and fl(a + x) is monotone in x, so port_admits' rate check fails
+  // for every m <= cap.
+  if (port_load_[static_cast<std::size_t>(up.value)].rate_bps() +
+          nic_min_rate_[static_cast<std::size_t>(cap)] >
+      rate_limit(topo_.port(up)))
+    return 0;
+  const int down = topo_.server_down(server).value;
+  for (int m = cap; m >= 1; --m) {
+    if (port_admits(up.value, nic_row_[static_cast<std::size_t>(m)]) &&
+        port_admits(down, tor_entry(req, scope, m)))
+      return m;
+  }
+  return 0;
+}
+
 std::optional<PlacementEngine::CountMap> PlacementEngine::pack_servers(
-    const TenantRequest& req, const std::vector<int>& servers,
-    Scope scope) const {
+    const TenantRequest& req, Scope scope) {
   CountMap counts;
   int remaining = req.num_vms;
   // Fault domains (§4.2.3): capping each server at ceil(n/d) VMs forces
   // the tenant across at least d servers.
   const int domains = std::max(1, req.min_fault_domains);
   const int domain_cap = (req.num_vms + domains - 1) / domains;
-  for (int s : servers) {
+  for (int s : scan_) {
     if (remaining == 0) break;
     const int cap =
         std::min({free_slots_[s], remaining, domain_cap});
-    for (int m = cap; m >= 1; --m) {
-      if (server_ports_ok(req, s, m, scope)) {
-        counts.emplace_back(s, m);
-        remaining -= m;
-        break;
-      }
+    const int m = mode_ == AdmissionMode::kFullRescan
+                      ? rescan_vms_on(req, s, cap, scope)
+                      : vms_on(req, s, cap, scope);
+    if (m > 0) {
+      counts.emplace_back(s, m);
+      remaining -= m;
     }
   }
   if (remaining > 0) return std::nullopt;
@@ -441,9 +507,10 @@ bool PlacementEngine::validate_candidate(const TenantRequest& req,
 }
 
 std::optional<PlacementEngine::CountMap> PlacementEngine::try_scope(
-    const TenantRequest& req, Scope scope, int anchor) const {
+    const TenantRequest& req, Scope scope, int anchor) {
   const auto& cfg = topo_.config();
-  std::vector<int> servers;
+  auto& servers = scan_;
+  servers.clear();
   switch (scope) {
     case Scope::kServer: {
       if (req.min_fault_domains > 1) return std::nullopt;
@@ -476,7 +543,7 @@ std::optional<PlacementEngine::CountMap> PlacementEngine::try_scope(
       break;
     }
   }
-  auto counts = pack_servers(req, servers, scope);
+  auto counts = pack_servers(req, scope);
   if (!counts) return std::nullopt;
   if (!validate_candidate(req, *counts, scope)) return std::nullopt;
   return counts;
@@ -493,6 +560,8 @@ std::optional<AdmittedTenant> PlacementEngine::place(
     return std::nullopt;  // malformed guarantee
 
   const Scope widest = widest_scope_for_delay(request.guarantee);
+  ++probe_stamp_;  // a new request: every probe-table entry is stale
+  nic_filled_ = 0;
 
   for (int sc = static_cast<int>(Scope::kServer);
        sc <= static_cast<int>(widest); ++sc) {

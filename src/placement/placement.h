@@ -13,6 +13,7 @@
 // constraint) and locality-aware placement (no network constraint).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <map>
@@ -40,10 +41,14 @@ enum class Scope { kServer = 0, kRack = 1, kPod = 2, kDatacenter = 3 };
 /// kIncremental (the default) shards per-port load and headroom caches by
 /// rack/pod/DC and maintains per-server and per-port tenant indexes, so an
 /// admit or release touches only the shards on the tenant's placement
-/// path. kFullRescan is the reference baseline: after every mutation it
-/// recomputes all port loads from the tenant map and answers index queries
-/// by scanning every tenant — the quadratic behaviour the incremental path
-/// replaces. Both modes make bit-identical placement decisions.
+/// path. Its packing reads each access-port contribution from a
+/// per-request probe table and skips servers whose NIC cannot carry even
+/// the cheapest probe. kFullRescan is the reference baseline: after every
+/// mutation it recomputes all port loads from the tenant map, answers
+/// index queries by scanning every tenant, and re-derives both access-port
+/// contributions on every (server, VM count) probe — the costs the
+/// incremental path replaces. Both modes make bit-identical placement
+/// decisions.
 enum class AdmissionMode { kIncremental, kFullRescan };
 
 struct AdmittedTenant {
@@ -123,6 +128,10 @@ class PlacementEngine {
   /// ascending id (derived from the placement's rack/pod spread).
   std::vector<TenantId> tenants_using_port(topology::PortId p) const;
 
+  /// Relative slack of every rate check: a port admits a contribution
+  /// while its reserved rate stays <= line rate * (1 + kRateEps).
+  static constexpr double kRateEps = 1e-6;
+
   int free_slots() const { return free_slots_total_; }
   int admitted_tenants() const { return static_cast<int>(tenants_.size()); }
   AdmissionMode admission_mode() const { return mode_; }
@@ -174,13 +183,26 @@ class PlacementEngine {
   // Per-server VM counts for a candidate placement.
   using CountMap = std::vector<std::pair<int, int>>;  // (server, count)
 
+  /// Collects the scope's candidate servers into scan_, then packs them.
   std::optional<CountMap> try_scope(const TenantRequest& req, Scope scope,
-                                    int anchor_server) const;
-  std::optional<CountMap> pack_servers(const TenantRequest& req,
-                                       const std::vector<int>& servers,
-                                       Scope scope) const;
+                                    int anchor_server);
+  /// First-fit over scan_; nullopt when the servers cannot hold the tenant.
+  std::optional<CountMap> pack_servers(const TenantRequest& req, Scope scope);
+  /// VMs (largest first, at most `cap`) that `server` can host under both
+  /// access-port checks; 0 when none. vms_on answers from the probe table
+  /// behind the NIC pre-filter, rescan_vms_on (kFullRescan, the oracle)
+  /// re-derives both contributions per probe through server_ports_ok.
+  int vms_on(const TenantRequest& req, int server, int cap, Scope scope);
+  int rescan_vms_on(const TenantRequest& req, int server, int cap,
+                    Scope scope) const;
   bool server_ports_ok(const TenantRequest& req, int server, int m_here,
                        Scope scope) const;
+  /// Probe-table access for the current request: fill_nic_row extends
+  /// nic_row_ (and its prefix minimum) from nic_filled_ to `cap`;
+  /// tor_entry fills one ToR entry on first use.
+  void fill_nic_row(const TenantRequest& req, int cap);
+  const PortContribution& tor_entry(const TenantRequest& req, Scope scope,
+                                    int m);
   bool validate_candidate(const TenantRequest& req, const CountMap& counts,
                           Scope scope) const;
   std::vector<std::pair<int, PortContribution>> tenant_contributions(
@@ -247,6 +269,27 @@ class PlacementEngine {
   // answers the same queries by scanning the tenant map.
   std::vector<std::vector<TenantId>> tenants_by_server_;
   std::vector<std::vector<TenantId>> tenants_by_port_;
+
+  // --- Per-request probe table (incremental mode) ------------------------
+  // Entry m is the request's contribution with m of its n VMs on one
+  // server, for m <= min(n - 1, slots per server). nic_row_ holds the NIC
+  // egress side, cut_contribution(m): its upstream is 0 at every scope, so
+  // one row serves the whole request. tor_rows_[scope] holds the
+  // ToR-to-server side, cut_contribution(n - m), whose upstream queueing
+  // depends on the scope. Port loads cannot change inside one place()
+  // call, so the entries are exact for all of it. place() invalidates the
+  // table in O(1): nic_filled_ drops to 0 and probe_stamp_ moves past
+  // every ToR entry's stamp.
+  struct ProbeEntry {
+    PortContribution c;
+    std::uint64_t stamp = 0;  // valid while == probe_stamp_
+  };
+  std::uint64_t probe_stamp_ = 0;
+  int nic_filled_ = 0;                ///< nic_row_[1..nic_filled_] valid
+  std::vector<PortContribution> nic_row_;
+  std::vector<double> nic_min_rate_;  ///< prefix minimum of nic_row_ rates
+  std::array<std::vector<ProbeEntry>, 4> tor_rows_;  // indexed by Scope
+  std::vector<int> scan_;  ///< try_scope's candidate servers, reused
 };
 
 }  // namespace silo::placement

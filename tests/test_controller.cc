@@ -356,8 +356,9 @@ struct PacerFleet {
       const std::uint64_t applied =
           it == tables.end() ? pacer_config_checksum({}) : it->second.checksum();
       ASSERT_EQ(applied, pacer_config_checksum(snapshot)) << "server " << s;
-      if (it != tables.end())
+      if (it != tables.end()) {
         ASSERT_EQ(it->second.size(), snapshot.size()) << "server " << s;
+      }
     }
   }
 };

@@ -383,7 +383,9 @@ void run_twin_storm(std::uint64_t seed, std::int64_t crash_at,
   // Metric counters replay exactly (write-ahead covers rejections too).
   for (const char* name : kControllerCounters)
     EXPECT_EQ(a->metrics().value(name), b.metrics().value(name)) << name;
-  if (snapshot_every > 0) EXPECT_GE(check_compaction.checked(), 2);
+  if (snapshot_every > 0) {
+    EXPECT_GE(check_compaction.checked(), 2);
+  }
 }
 
 TEST(Journal, CrashRecoveryIsBitIdenticalAcrossSeedsAndCrashPoints) {
