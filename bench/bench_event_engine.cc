@@ -1,21 +1,23 @@
-// Event-engine microbenchmark: timing wheel + typed events + packet pool
-// vs the seed scheduler (std::priority_queue of std::function closures
-// capturing Packet by value).
+// Event-engine benchmark on the production engine (timing wheel + typed
+// events + packet pool), in three phases.
 //
-// Both engines drive the identical workload — a ring of output-queued
-// switch ports forwarding a fixed population of packets for a fixed hop
-// count, plus periodic pacer-gate-style timers — so the processed-event
-// counts match and events/second is an apples-to-apples comparison. A
-// second phase times a real Fig-12-style ClusterSim run on the new engine.
+// Ring: a ring of output-queued switch ports forwarding a fixed population
+// of packets for a fixed hop count, plus periodic pacer-gate-style timers.
+// Its event count has a closed form — one injection per packet, a tx-done
+// and a delivery per hop, one event per timer tick — and every packet must
+// finish its hops; the run fails on either mismatch.
 //
-// A third phase scales the parallel island engine on a 32K-server fabric:
-// one row per --threads value, with a machine-independent record (islands,
-// rounds, busiest-island share) alongside wall-clock events/s. All rows
-// must process identical event and message counts (the determinism matrix
-// at scale); the >=3x speedup gate applies only when the machine actually
-// has >=8 hardware threads.
+// Cluster: a real Fig-12-style ClusterSim run through the full
+// host/pacer/fabric stack.
 //
-// Writes BENCH_event_engine.json next to the binary's working directory.
+// Parallel: the island engine on a 32K-server fabric, one row per
+// --threads value, with a machine-independent record (islands, rounds,
+// busiest-island share) alongside wall-clock events/s. All rows must
+// process identical event and message counts (the determinism matrix at
+// scale); the >=3x speedup gate applies only when the machine actually has
+// >=8 hardware threads.
+//
+// Writes BENCH_event_engine.json into the working directory.
 //
 // Flags: --ports=16 --packets=2000 --hops=512 --timer-ticks=2000
 //        --duration-ms=100 (cluster phase)
@@ -23,10 +25,7 @@
 //        --par-duration-ms=2 --threads=1,2,4,8
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 // hardware_concurrency() gates the parallel speedup acceptance check; no
 // threads are created here — the executor lives in src/par.
@@ -44,101 +43,6 @@
 using namespace silo;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Seed-engine replica: binary heap of type-erased closures, ties broken by
-// insertion sequence. This is the scheduler the repository started with,
-// kept here verbatim-in-spirit as the baseline.
-class LegacyEngine {
- public:
-  struct Ev {
-    TimeNs time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Ev& a, const Ev& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-
-  TimeNs now() const { return now_; }
-  std::uint64_t processed() const { return processed_; }
-
-  void at(TimeNs t, std::function<void()> fn) {
-    pq_.push(Ev{t < now_ ? now_ : t, seq_++, std::move(fn)});
-  }
-  void after(TimeNs delay, std::function<void()> fn) {
-    at(now_ + delay, std::move(fn));
-  }
-
-  void run_all() {
-    while (!pq_.empty()) {
-      Ev ev = pq_.top();  // copy, as the seed engine did
-      pq_.pop();
-      now_ = ev.time;
-      ++processed_;
-      ev.fn();
-    }
-  }
-
- private:
-  std::priority_queue<Ev, std::vector<Ev>, Later> pq_;
-  TimeNs now_ {};
-  std::uint64_t seq_ = 0;
-  std::uint64_t processed_ = 0;
-};
-
-// Seed-style switch port: FIFO drop-tail, Packet carried by value inside
-// the tx-done and deliver closures (two heap-allocated std::functions and
-// two 80-byte copies per hop — the cost the typed engine removes).
-class LegacyPort {
- public:
-  using DeliverFn = std::function<void(sim::Packet)>;
-
-  LegacyPort(LegacyEngine& ev, sim::PortConfig cfg, DeliverFn deliver)
-      : ev_(ev), cfg_(cfg), deliver_(std::move(deliver)) {}
-
-  void enqueue(sim::Packet p) {
-    if (queued_bytes_ + p.wire_bytes > cfg_.buffer) {
-      ++drops_;
-      return;
-    }
-    queued_bytes_ += p.wire_bytes;
-    queue_[static_cast<int>(p.priority)].push_back(std::move(p));
-    if (!busy_) start_tx();
-  }
-
-  std::int64_t tx_packets() const { return tx_packets_; }
-
- private:
-  void start_tx() {
-    auto& q = !queue_[0].empty() ? queue_[0] : queue_[1];
-    if (q.empty()) {
-      busy_ = false;
-      return;
-    }
-    busy_ = true;
-    sim::Packet p = q.front();
-    q.pop_front();
-    queued_bytes_ -= p.wire_bytes;
-    const TimeNs tx = transmission_time(p.wire_bytes + kEthOverhead, cfg_.rate);
-    ev_.after(tx, [this, p] {
-      ++tx_packets_;
-      ev_.after(cfg_.link_delay, [this, p] { deliver_(p); });
-      start_tx();
-    });
-  }
-
-  LegacyEngine& ev_;
-  sim::PortConfig cfg_;
-  DeliverFn deliver_;
-  std::deque<sim::Packet> queue_[2];
-  Bytes queued_bytes_ {};
-  bool busy_ = false;
-  std::int64_t tx_packets_ = 0;
-  std::int64_t drops_ = 0;
-};
 
 struct RingParams {
   int ports = 16;
@@ -166,50 +70,23 @@ sim::Packet ring_packet(int j, int hops) {
   return p;
 }
 
-struct EngineResult {
+struct RingResult {
   std::uint64_t events = 0;
   double wall_s = 0;
   std::uint64_t delivered = 0;  ///< packets that completed all hops
   double events_per_sec() const { return events / wall_s; }
 };
 
-EngineResult run_legacy(const RingParams& rp) {
-  LegacyEngine ev;
-  std::vector<std::unique_ptr<LegacyPort>> ports(rp.ports);
-  std::uint64_t done = 0;
-  for (int i = 0; i < rp.ports; ++i) {
-    ports[i] = std::make_unique<LegacyPort>(
-        ev, ring_port_config(), [&, i](sim::Packet p) {
-          if (--p.remaining > 0) {
-            ports[(i + 1) % rp.ports]->enqueue(std::move(p));
-          } else {
-            ++done;
-          }
-        });
-  }
-  for (int j = 0; j < rp.packets; ++j) {
-    ev.at(TimeNs{j * 737}, [&, j] {
-      ports[j % rp.ports]->enqueue(ring_packet(j, rp.hops));
-    });
-  }
-  for (int i = 0; i < rp.ports; ++i) {
-    auto tick = std::make_shared<std::function<void(int)>>();
-    *tick = [&ev, tick](int remaining) {
-      if (remaining > 0) {
-        ev.after(50 * kUsec, [tick, remaining] { (*tick)(remaining - 1); });
-      }
-    };
-    ev.after(50 * kUsec, [tick, rp] { (*tick)(rp.timer_ticks - 1); });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  ev.run_all();
-  const auto t1 = std::chrono::steady_clock::now();
-  return {ev.processed(), std::chrono::duration<double>(t1 - t0).count(),
-          done};
+/// One injection per packet, a tx-done and a delivery per hop, and one
+/// event per timer tick.
+std::uint64_t expected_ring_events(const RingParams& rp) {
+  const auto packets = static_cast<std::uint64_t>(rp.packets);
+  return packets + 2 * packets * static_cast<std::uint64_t>(rp.hops) +
+         static_cast<std::uint64_t>(rp.ports) *
+             static_cast<std::uint64_t>(rp.timer_ticks);
 }
 
-EngineResult run_wheel(const RingParams& rp) {
+RingResult run_ring(const RingParams& rp) {
   sim::EventQueue ev;
   std::vector<std::unique_ptr<sim::SwitchPortSim>> ports(rp.ports);
   std::uint64_t done = 0;
@@ -242,7 +119,8 @@ EngineResult run_wheel(const RingParams& rp) {
   };
   // remaining = ticks - 1: the initial raw_after below is tick #1.
   std::vector<Ticker> tickers(rp.ports, Ticker{ev, rp.timer_ticks - 1});
-  for (auto& t : tickers) ev.raw_after(50 * kUsec, &Ticker::fire, &t);
+  if (rp.timer_ticks > 0)
+    for (auto& t : tickers) ev.raw_after(50 * kUsec, &Ticker::fire, &t);
 
   const auto t0 = std::chrono::steady_clock::now();
   ev.run_all();
@@ -432,30 +310,33 @@ int main(int argc, char** argv) {
   rp.hops = static_cast<int>(flags.geti("hops", rp.hops));
   rp.timer_ticks = static_cast<int>(flags.geti("timer-ticks", rp.timer_ticks));
   const TimeNs duration = flags.geti("duration-ms", 100) * kMsec;
+  // Every packet makes at least one hop, so the closed form needs hops >= 1.
+  if (rp.ports < 1 || rp.packets < 0 || rp.hops < 1 || rp.timer_ticks < 0) {
+    std::fprintf(stderr,
+                 "bench_event_engine: need --ports>=1, --packets>=0, "
+                 "--hops>=1, --timer-ticks>=0\n");
+    return 2;
+  }
 
   bench::print_header(
-      "Event-engine microbenchmark",
-      "Timing wheel + typed events + packet pool vs the seed\n"
-      "std::priority_queue/std::function scheduler on an identical\n"
-      "port-ring event mix, plus a Fig-12-style ClusterSim run.");
+      "Event-engine benchmark",
+      "Timing wheel + typed events + packet pool on a port-ring event mix\n"
+      "with a closed-form event count, plus a Fig-12-style ClusterSim run\n"
+      "and the parallel island engine at fleet scale.");
 
-  const auto legacy = run_legacy(rp);
-  const auto wheel = run_wheel(rp);
-  const double speedup = wheel.events_per_sec() / legacy.events_per_sec();
-
-  std::printf("%-22s %12s %10s %14s %9s\n", "engine", "events", "wall_ms",
-              "events/sec", "speedup");
-  std::printf("%-22s %12llu %10.1f %13.3gM %8.2fx\n", "legacy heap+closures",
-              static_cast<unsigned long long>(legacy.events),
-              legacy.wall_s * 1e3, legacy.events_per_sec() / 1e6, 1.0);
-  std::printf("%-22s %12llu %10.1f %13.3gM %8.2fx\n", "wheel+typed+pool",
-              static_cast<unsigned long long>(wheel.events),
-              wheel.wall_s * 1e3, wheel.events_per_sec() / 1e6, speedup);
-  if (legacy.delivered != wheel.delivered) {
-    std::printf("WARNING: delivered mismatch (legacy=%llu wheel=%llu)\n",
-                static_cast<unsigned long long>(legacy.delivered),
-                static_cast<unsigned long long>(wheel.delivered));
-  }
+  const auto ring = run_ring(rp);
+  const std::uint64_t ring_expected = expected_ring_events(rp);
+  const bool ring_ok = ring.events == ring_expected &&
+                       ring.delivered == static_cast<std::uint64_t>(rp.packets);
+  std::printf("ring (%d ports, %d packets x %d hops, %d ticks/port): %llu "
+              "events (expected %llu), %llu/%d delivered, %.1f ms, "
+              "%.3gM events/s%s\n",
+              rp.ports, rp.packets, rp.hops, rp.timer_ticks,
+              static_cast<unsigned long long>(ring.events),
+              static_cast<unsigned long long>(ring_expected),
+              static_cast<unsigned long long>(ring.delivered), rp.packets,
+              ring.wall_s * 1e3, ring.events_per_sec() / 1e6,
+              ring_ok ? "" : "  FAIL: event or delivery count mismatch");
 
   const auto cl = run_cluster(duration);
   std::printf("cluster (Fig-12 style, %lld ms sim): %llu events in %.2f s "
@@ -530,11 +411,16 @@ int main(int argc, char** argv) {
                 par_gate_applies ? (par_gate_ok ? "PASS" : "FAIL") : "skipped",
                 hw);
 
-  bench::JsonObject ring;
-  ring.put("ports", rp.ports)
+  bench::JsonObject ring_json;
+  ring_json.put("ports", rp.ports)
       .put("packets", rp.packets)
       .put("hops", rp.hops)
-      .put("timer_ticks", rp.timer_ticks);
+      .put("timer_ticks", rp.timer_ticks)
+      .put("events", ring.events)
+      .put("expected_events", ring_expected)
+      .put("delivered", ring.delivered)
+      .put("wall_s", ring.wall_s)
+      .put("events_per_sec", ring.events_per_sec());
   bench::JsonObject cluster_json;
   cluster_json.put("sim_ms", static_cast<std::int64_t>(duration / kMsec))
       .put("events", cl.events)
@@ -574,14 +460,7 @@ int main(int argc, char** argv) {
 
   bench::JsonObject out;
   out.put("bench", std::string("event_engine"))
-      .put("ring", ring)
-      .put("legacy_events", legacy.events)
-      .put("legacy_wall_s", legacy.wall_s)
-      .put("legacy_events_per_sec", legacy.events_per_sec())
-      .put("wheel_events", wheel.events)
-      .put("wheel_wall_s", wheel.wall_s)
-      .put("wheel_events_per_sec", wheel.events_per_sec())
-      .put("speedup", speedup)
+      .put("ring", ring_json)
       .put("cluster", cluster_json)
       .put("parallel", par_json);
   bench::write_json_file("BENCH_event_engine.json", out);
@@ -598,10 +477,8 @@ int main(int argc, char** argv) {
               {"ring_packets", std::to_string(rp.packets)},
               {"metrics", "cluster phase (Silo)"}};
   bench::maybe_write_manifest(flags, m, cl.metrics);
-  // Acceptance gates: >=2x over the seed engine (tunable for sanitizer
-  // builds, where relative wall clock is meaningless but the determinism
-  // gates still bite); identical event/message counts across every thread
-  // row; >=3x parallel speedup when the machine has the cores to show it.
-  const double ring_gate = flags.get("ring-gate-min", 2.0);
-  return (speedup >= ring_gate && rows_identical && par_gate_ok) ? 0 : 1;
+  // Acceptance gates: the ring's closed-form event and delivery counts;
+  // identical event/message counts across every thread row; >=3x parallel
+  // speedup when the machine has the cores to show it.
+  return (ring_ok && rows_identical && par_gate_ok) ? 0 : 1;
 }

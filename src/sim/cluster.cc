@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace silo::sim {
 
@@ -35,8 +36,7 @@ const char* scheme_name(Scheme s) {
   return "?";
 }
 
-ClusterSim::ClusterSim(const ClusterConfig& cfg)
-    : cfg_(cfg), parallel_(cfg.parallel.enabled) {
+ClusterSim::ClusterSim(const ClusterConfig& cfg) : cfg_(cfg) {
   topo_ = std::make_unique<topology::Topology>(cfg.topo);
   placer_ = std::make_unique<placement::PlacementEngine>(*topo_,
                                                          placement_policy());
@@ -57,46 +57,24 @@ ClusterSim::ClusterSim(const ClusterConfig& cfg)
   host_template_.tor_link_delay = cfg.link_delay;
   host_template_.loopback_delay = cfg.loopback_delay;
 
-  if (parallel_) {
-    // The island partition is a function of the admitted placement, so
-    // fabric/hosts materialize lazily once admissions settle (first run,
-    // driver attach, or fabric access). Lending's epoch tick walks every
-    // host from one event — inherently cross-island — so it stays a
-    // sequential-mode feature.
-    if (cfg_.lending.enabled)
+  if (cfg_.lending.enabled) {
+    // Lending's epoch tick walks every host from one event — inherently
+    // cross-island — so it stays a sequential-mode feature.
+    if (cfg_.parallel.enabled)
       throw std::invalid_argument(
           "ClusterSim: headroom lending is unsupported in parallel mode");
-    part_ = IslandPartition::single(*topo_, 0);
-    return;
-  }
-
-  // Sequential mode: one island, built here exactly as it always was.
-  islands_.push_back(std::make_unique<IslandState>());
-  IslandState& isl = *islands_.front();
-  part_ = IslandPartition::single(*topo_, 0);
-  fabric_ = std::make_unique<Fabric>(isl.events, *topo_, port_template_);
-  fabric_->set_host_deliver([this](PacketHandle h) { dispatch(0, h); });
-  hosts_.reserve(topo_->num_servers());
-  for (int s = 0; s < topo_->num_servers(); ++s) {
-    hosts_.push_back(
-        std::make_unique<Host>(isl.events, *fabric_, s, host_template_));
-    hosts_.back()->set_local_deliver([this](PacketHandle h) { dispatch(0, h); });
-  }
-
-  // Register the metric catalog (see docs/OBSERVABILITY.md) and hand the
-  // cached cells to every component. The cells are shared cluster-wide:
-  // all ports increment one counter, all hosts another, and so on.
-  register_catalog(isl);
-  for (int p = 0; p < topo_->num_ports(); ++p)
-    fabric_->port(topology::PortId{p}).set_metrics(isl.pm);
-  for (auto& h : hosts_) h->set_metrics(isl.hm, isl.pm);
-  materialized_ = true;
-
-  if (cfg_.lending.enabled) {
     lender_ = std::make_unique<pacer::HeadroomLender>(cfg_.lending.policy);
-    isl.events.schedule_after(cfg_.lending.epoch, EventKind::kClusterLeaseEpoch,
-                              this, 0);
   }
+  // Sequential mode is the one-island partition, built at once. A parallel
+  // partition is a function of the admitted placement, so it materializes
+  // on first use (first run, driver attach, or fabric access).
+  if (!cfg_.parallel.enabled) materialize(IslandPartition::single(*topo_));
+}
+
+void ClusterSim::sequential_only(const char* what, const char* remedy) const {
+  if (cfg_.parallel.enabled)
+    throw std::logic_error(std::string("ClusterSim: ") + what +
+                           " is sequential-mode only; " + remedy);
 }
 
 void ClusterSim::register_catalog(IslandState& isl) {
@@ -150,16 +128,18 @@ void ClusterSim::register_catalog(IslandState& isl) {
 }
 
 void ClusterSim::materialize() {
-  if (materialized_) return;
-  materialized_ = true;
-
+  if (materialized()) return;
   std::vector<std::vector<int>> tenant_servers;
   tenant_servers.reserve(tenants_.size());
   for (const auto& rt : tenants_) tenant_servers.push_back(rt.vm_server);
-  part_ = IslandPartition::build(*topo_, cfg_.link_delay, tenant_servers);
-  if (part_.num_islands > (1 << 11))
+  materialize(IslandPartition::build(*topo_, cfg_.link_delay, tenant_servers));
+}
+
+void ClusterSim::materialize(IslandPartition part) {
+  if (part.num_islands > (1 << 11))
     throw std::length_error(
         "ClusterSim: island count exceeds the flow-id encoding (2^11)");
+  part_ = std::move(part);
 
   islands_.reserve(static_cast<std::size_t>(part_.num_islands));
   for (int i = 0; i < part_.num_islands; ++i) {
@@ -185,67 +165,68 @@ void ClusterSim::materialize() {
   handoff_.owner = this;
   for (int p = 0; p < topo_->num_ports(); ++p) {
     SwitchPortSim& port = fabric_->port(topology::PortId{p});
-    port.set_metrics(islands_[static_cast<std::size_t>(
-                                  part_.port_island[static_cast<std::size_t>(p)])]
-                         ->pm);
-    port.set_tx_handoff(&handoff_);
+    const int isl_id = part_.port_island[static_cast<std::size_t>(p)];
+    port.set_metrics(islands_[static_cast<std::size_t>(isl_id)]->pm);
+    // A one-island partition has no boundary to hand packets across.
+    if (part_.num_islands > 1) port.set_tx_handoff(&handoff_);
   }
 
   hosts_.reserve(topo_->num_servers());
   for (int s = 0; s < topo_->num_servers(); ++s) {
     const int isl_id = part_.island_of_server(*topo_, s);
+    IslandState& isl = *islands_[static_cast<std::size_t>(isl_id)];
     Host::Config hc = host_template_;
     hc.island = isl_id;
-    hosts_.push_back(std::make_unique<Host>(
-        islands_[static_cast<std::size_t>(isl_id)]->events, *fabric_, s, hc));
+    hosts_.push_back(std::make_unique<Host>(isl.events, *fabric_, s, hc));
     hosts_.back()->set_local_deliver(
         [this, isl_id](PacketHandle h) { dispatch(isl_id, h); });
-    hosts_.back()->set_metrics(
-        islands_[static_cast<std::size_t>(isl_id)]->hm,
-        islands_[static_cast<std::size_t>(isl_id)]->pm);
+    hosts_.back()->set_metrics(isl.hm, isl.pm);
   }
 
-  // Deferred admission plumbing: pacer attachment needs hosts, the
-  // rebalance timer needs the tenant's island queue. Tenant order keeps
-  // the initial event layout input-determined.
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    auto& rt = tenants_[t];
-    if (!rt.pacers) continue;
-    for (int v = 0; v < rt.request.num_vms; ++v)
-      hosts_[static_cast<std::size_t>(rt.vm_server[static_cast<std::size_t>(v)])]
-          ->attach_pacer(rt.vm_base + v, &rt.pacers->vm(v));
-    islands_[static_cast<std::size_t>(part_.tenant_island[t])]
-        ->events.schedule_after(cfg_.rebalance_period,
-                                EventKind::kClusterRebalance, this,
-                                static_cast<std::uint32_t>(t));
-  }
-  islands_.front()->admissions.inc(pending_admissions_);
+  // Tenants admitted before the islands existed. Tenant order keeps the
+  // initial event layout input-determined.
+  for (std::size_t t = 0; t < tenants_.size(); ++t)
+    plumb_tenant(static_cast<int>(t));
+  islands_.front()->admissions.inc(static_cast<std::int64_t>(tenants_.size()));
   islands_.front()->rejections.inc(pending_rejections_);
+  if (lender_)
+    islands_.front()->events.schedule_after(
+        cfg_.lending.epoch, EventKind::kClusterLeaseEpoch, this, 0);
+}
+
+void ClusterSim::plumb_tenant(int tenant) {
+  auto& rt = tenants_[static_cast<std::size_t>(tenant)];
+  if (!rt.pacers) return;
+  for (int v = 0; v < rt.request.num_vms; ++v)
+    hosts_[static_cast<std::size_t>(rt.vm_server[static_cast<std::size_t>(v)])]
+        ->attach_pacer(rt.vm_base + v, &rt.pacers->vm(v));
+  // Kick off periodic EyeQ-style destination-rate coordination.
+  tenant_events(tenant).schedule_after(cfg_.rebalance_period,
+                                       EventKind::kClusterRebalance, this,
+                                       static_cast<std::uint32_t>(tenant));
+}
+
+int ClusterSim::tenant_island(int tenant) const {
+  // All of a tenant's racks share one island, so its first VM names it.
+  return part_.island_of_server(
+      *topo_, tenants_.at(static_cast<std::size_t>(tenant)).vm_server.front());
 }
 
 // ------------------------------------------------------------- accessors
 
 EventQueue& ClusterSim::events() {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::events(): parallel mode is island-sharded; use "
-        "tenant_events()/port_events()/server_events()");
+  sequential_only("events()",
+                  "use tenant_events()/port_events()/server_events()");
   return islands_.front()->events;
 }
 
 obs::MetricsRegistry& ClusterSim::metrics() {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::metrics(): parallel mode shards the registry per "
-        "island; use merged_metrics()");
+  sequential_only("metrics()", "use merged_metrics()");
   return islands_.front()->metrics;
 }
 
 const obs::MetricsRegistry& ClusterSim::metrics() const {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::metrics(): parallel mode shards the registry per "
-        "island; use merged_metrics()");
+  sequential_only("metrics()", "use merged_metrics()");
   return islands_.front()->metrics;
 }
 
@@ -259,14 +240,6 @@ Host& ClusterSim::host_mut(int server) {
   return *hosts_.at(static_cast<std::size_t>(server));
 }
 
-void ClusterSim::run_until(TimeNs t) {
-  if (!parallel_) {
-    islands_.front()->events.run_until(t);
-    return;
-  }
-  run_parallel_until(t);
-}
-
 const IslandPartition& ClusterSim::partition() {
   materialize();
   return part_;
@@ -278,15 +251,11 @@ int ClusterSim::num_islands() {
 }
 
 EventQueue& ClusterSim::tenant_events(int tenant) {
-  if (!parallel_) return islands_.front()->events;
   materialize();
-  return islands_[static_cast<std::size_t>(
-                      part_.tenant_island.at(static_cast<std::size_t>(tenant)))]
-      ->events;
+  return islands_[static_cast<std::size_t>(tenant_island(tenant))]->events;
 }
 
 EventQueue& ClusterSim::port_events(topology::PortId id) {
-  if (!parallel_) return islands_.front()->events;
   materialize();
   return islands_[static_cast<std::size_t>(
                       part_.port_island.at(static_cast<std::size_t>(id.value)))]
@@ -294,23 +263,21 @@ EventQueue& ClusterSim::port_events(topology::PortId id) {
 }
 
 EventQueue& ClusterSim::server_events(int server) {
-  if (!parallel_) return islands_.front()->events;
   materialize();
+  if (server < 0 || server >= topo_->num_servers())
+    throw std::out_of_range("ClusterSim: server index");
   return islands_[static_cast<std::size_t>(
                       part_.island_of_server(*topo_, server))]
       ->events;
 }
 
 EventQueue& ClusterSim::control_events() {
-  if (parallel_) materialize();
+  materialize();
   return islands_.front()->events;
 }
 
 void ClusterSim::set_packet_tap(PacketTap tap) {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::set_packet_tap(): sequential-mode debug tap; use "
-        "enable_delivery_trace() in parallel mode");
+  sequential_only("the packet tap", "use enable_delivery_trace()");
   tap_ = std::move(tap);
 }
 
@@ -318,10 +285,8 @@ void ClusterSim::set_packet_tap(PacketTap tap) {
 
 void ClusterSim::apply_config_deltas(
     const std::vector<PacerConfigDelta>& deltas) {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::apply_config_deltas(): controller delta shipping is "
-        "sequential-mode only");
+  sequential_only("controller delta shipping",
+                  "run the control plane on a sequential cluster");
   IslandState& isl = *islands_.front();
   for (const auto& delta : deltas) {
     if (delta.server < 0 ||
@@ -347,10 +312,7 @@ void ClusterSim::apply_config_deltas(
 }
 
 obs::FlightRecorder& ClusterSim::enable_flight_recorder(std::size_t capacity) {
-  if (parallel_)
-    throw std::logic_error(
-        "ClusterSim::enable_flight_recorder(): the flight recorder is a "
-        "single-ring sequential-mode tool; use enable_delivery_trace()");
+  sequential_only("the flight recorder", "use enable_delivery_trace()");
   recorder_ = std::make_unique<obs::FlightRecorder>(capacity);
   recorder_->set_flow_tenants(&islands_.front()->flow_tenant);
   islands_.front()->events.set_flight_recorder(recorder_.get());
@@ -398,12 +360,15 @@ SiloGuarantee ClusterSim::pacing_guarantee(const SiloGuarantee& g) const {
 }
 
 std::optional<int> ClusterSim::add_tenant(const TenantRequest& request) {
+  if (materialized())
+    sequential_only("admission after materialization",
+                    "admit every tenant before running");
   auto admitted = placer_->place(request);
   if (!admitted) {
-    if (parallel_ && !materialized_)
-      ++pending_rejections_;
-    else
+    if (materialized())
       islands_.front()->rejections.inc();
+    else
+      ++pending_rejections_;
     return std::nullopt;
   }
   return finish_admission(request, std::move(admitted->vm_to_server));
@@ -411,6 +376,11 @@ std::optional<int> ClusterSim::add_tenant(const TenantRequest& request) {
 
 int ClusterSim::add_tenant_pinned(const TenantRequest& request,
                                   std::vector<int> vm_to_server) {
+  if (materialized())
+    sequential_only("admission after materialization",
+                    "admit every tenant before running");
+  if (request.num_vms < 1)
+    throw std::invalid_argument("pinned placement needs >= 1 VM");
   if (static_cast<int>(vm_to_server.size()) != request.num_vms)
     throw std::invalid_argument("pinned placement size != num_vms");
   for (int s : vm_to_server)
@@ -421,39 +391,21 @@ int ClusterSim::add_tenant_pinned(const TenantRequest& request,
 
 int ClusterSim::finish_admission(const TenantRequest& request,
                                  std::vector<int> vm_to_server) {
-  if (parallel_ && materialized_)
-    throw std::logic_error(
-        "ClusterSim: parallel mode fixes the island partition at the first "
-        "run — admit every tenant before running");
   TenantRuntime rt;
   rt.request = request;
   rt.vm_server = std::move(vm_to_server);
   rt.vm_base = next_global_vm_;
   next_global_vm_ += request.num_vms;
-  if (tenant_paced(request)) {
+  if (tenant_paced(request))
     rt.pacers = std::make_unique<pacer::TenantPacerGroup>(
         pacing_guarantee(request.guarantee), request.num_vms, kMtu,
         rt.vm_base);
-    // Parallel mode: hosts do not exist yet; materialize() attaches.
-    if (!parallel_) {
-      for (int v = 0; v < request.num_vms; ++v) {
-        hosts_[static_cast<std::size_t>(
-                   rt.vm_server[static_cast<std::size_t>(v)])]
-            ->attach_pacer(rt.vm_base + v, &rt.pacers->vm(v));
-      }
-    }
-  }
   tenants_.push_back(std::move(rt));
-  if (parallel_)
-    ++pending_admissions_;
-  else
-    islands_.front()->admissions.inc();
   const int tenant = static_cast<int>(tenants_.size()) - 1;
-  if (tenants_[static_cast<std::size_t>(tenant)].pacers && !parallel_) {
-    // Kick off periodic EyeQ-style destination-rate coordination.
-    islands_.front()->events.schedule_after(
-        cfg_.rebalance_period, EventKind::kClusterRebalance, this,
-        static_cast<std::uint32_t>(tenant));
+  // Before the islands exist, materialize() plumbs and counts the tenant.
+  if (materialized()) {
+    islands_.front()->admissions.inc();
+    plumb_tenant(tenant);
   }
   return tenant;
 }
@@ -617,16 +569,23 @@ void ClusterSim::lease_epoch_tick() {
                             this, 0);
 }
 
+std::int64_t ClusterSim::pair_key(const TenantRuntime& rt, int src_local,
+                                  int dst_local) {
+  // Range-check first: an out-of-range index would alias another pair.
+  const int n = rt.request.num_vms;
+  if (src_local < 0 || src_local >= n || dst_local < 0 || dst_local >= n)
+    throw std::out_of_range("ClusterSim: VM index outside [0, num_vms)");
+  return static_cast<std::int64_t>(src_local) * n + dst_local;
+}
+
 ClusterSim::FlowRuntime& ClusterSim::flow_for(int tenant, int src_local,
                                               int dst_local) {
   auto& rt = tenants_.at(static_cast<std::size_t>(tenant));
-  const std::int64_t key =
-      static_cast<std::int64_t>(src_local) * rt.request.num_vms + dst_local;
+  const std::int64_t key = pair_key(rt, src_local, dst_local);
   auto it = rt.pair_to_flow.find(key);
   if (it != rt.pair_to_flow.end()) return flow_runtime(it->second);
 
-  const int island =
-      parallel_ ? part_.tenant_island.at(static_cast<std::size_t>(tenant)) : 0;
+  const int island = tenant_island(tenant);
   IslandState& isl = *islands_[static_cast<std::size_t>(island)];
   const int local = static_cast<int>(isl.flows.size());
   if (local > kLocalFlowMask)
@@ -682,9 +641,7 @@ ClusterSim::FlowRuntime& ClusterSim::flow_for(int tenant, int src_local,
 const ClusterSim::FlowRuntime* ClusterSim::find_flow(int tenant, int src_local,
                                                      int dst_local) const {
   const auto& rt = tenants_.at(static_cast<std::size_t>(tenant));
-  const std::int64_t key =
-      static_cast<std::int64_t>(src_local) * rt.request.num_vms + dst_local;
-  auto it = rt.pair_to_flow.find(key);
+  auto it = rt.pair_to_flow.find(pair_key(rt, src_local, dst_local));
   return it == rt.pair_to_flow.end() ? nullptr : &flow_runtime(it->second);
 }
 
@@ -1009,7 +966,7 @@ std::uint64_t ClusterSim::island_processed(int island) const {
   return islands_.at(static_cast<std::size_t>(island))->events.processed();
 }
 
-void ClusterSim::run_parallel_until(TimeNs deadline) {
+void ClusterSim::run_until(TimeNs deadline) {
   materialize();
   IslandExecutor* exec = executor_ != nullptr
                              ? executor_
@@ -1021,7 +978,8 @@ void ClusterSim::run_parallel_until(TimeNs deadline) {
     // Conservative horizons: W_c = min next event in the component plus its
     // lookahead, minus one — no cross-island arrival can land at or before
     // it. Isolated components (lookahead = infinity) run straight to the
-    // deadline; that is the common fast path for rack-local traffic.
+    // deadline; that is the common fast path for rack-local traffic, and
+    // all of sequential mode: one island, one round.
     comp_min.assign(static_cast<std::size_t>(part_.num_components),
                     kTimeInfinity);
     TimeNs global_min = kTimeInfinity;

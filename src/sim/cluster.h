@@ -9,15 +9,15 @@
 // HULL, Oktopus, Okto+ (Oktopus placement plus burst allowance) — plus the
 // two closest related-work designs from §7/Table 5: QJUMP and pFabric.
 //
-// The simulation state is organized as *islands* — one in sequential mode,
-// one per disjoint rack/tenant group (plus dedicated islands for shared
-// aggregation queues) when cfg.parallel.enabled. Each island owns an
-// EventQueue, a MetricsRegistry shard with the full catalog, and its
-// tenants' flows; islands synchronize under the conservative window
-// protocol of sim/parallel.h and results are bit-identical for any
-// executor, including the serial fallback and the classic single-queue
-// engine. See DESIGN.md "Parallel execution & conservative
-// synchronization".
+// The simulation state is organized as *islands*: one per disjoint
+// rack/tenant group (plus dedicated islands for shared aggregation queues)
+// when cfg.parallel.enabled, and sequential mode is simply the one-island
+// partition. Each island owns an EventQueue, a MetricsRegistry shard with
+// the full catalog, and its tenants' flows. Both modes are built by one
+// construction path (materialize) and run by one loop, the conservative
+// window protocol of sim/parallel.h; results are bit-identical for any
+// executor and any partition. See DESIGN.md "Parallel execution &
+// conservative synchronization".
 #pragma once
 
 #include <cstdint>
@@ -91,12 +91,14 @@ struct ClusterConfig {
   };
   Lending lending;
   /// Deterministic parallel execution (DESIGN.md "Parallel execution &
-  /// conservative synchronization"). When enabled, fabric/host
-  /// materialization is deferred until every tenant is admitted — the
-  /// island partition is a function of the placement — and run_until()
-  /// drives the per-island queues under the conservative window protocol.
-  /// Attach a threaded executor with set_island_executor(); without one a
-  /// serial fallback runs the same schedule on the caller's thread.
+  /// conservative synchronization"). Off, the cluster is the one-island
+  /// partition, built at construction. On, fabric/host materialization is
+  /// deferred until every tenant is admitted — the island partition is a
+  /// function of the placement — and the sequential-only surfaces throw.
+  /// Either way run_until() drives the island queues under the
+  /// conservative window protocol. Attach a threaded executor with
+  /// set_island_executor(); without one a serial fallback runs the same
+  /// schedule on the caller's thread.
   struct Parallel {
     bool enabled = false;
   };
@@ -118,6 +120,8 @@ class ClusterSim {
                         std::vector<int> vm_to_server);
 
   int num_tenants() const { return static_cast<int>(tenants_.size()); }
+  /// The admission-control state behind add_tenant (read-only).
+  const placement::PlacementEngine& placer() const { return *placer_; }
   int tenant_vm_count(int tenant) const;
   int vm_server(int tenant, int local_vm) const;
 
@@ -238,8 +242,8 @@ class ClusterSim {
   const Host& host(int server) const { return *hosts_.at(server); }
   /// Mutable host access for fault injection (crash / restore).
   Host& host_mut(int server);
-  /// Run to `t`: the single queue directly, or every island under the
-  /// conservative window protocol when cfg.parallel.enabled.
+  /// Run every island to `t` under the conservative window protocol (one
+  /// round for the sequential one-island partition).
   void run_until(TimeNs t);
 
   // — Deterministic parallel execution (cfg.parallel.enabled) —
@@ -248,7 +252,7 @@ class ClusterSim {
   /// owns the only threaded implementation). Unset: serial fallback —
   /// bit-identical results by construction.
   void set_island_executor(IslandExecutor* exec) { executor_ = exec; }
-  bool parallel_mode() const { return parallel_; }
+  bool parallel_mode() const { return cfg_.parallel.enabled; }
   /// The static island decomposition (materializes it on first use).
   const IslandPartition& partition();
   int num_islands();
@@ -271,7 +275,7 @@ class ClusterSim {
   std::int64_t cross_tie_collisions() const;
 
   /// Event queue owning a tenant's state — the queue drivers must schedule
-  /// their arrivals and callbacks on. Sequential mode: the global queue.
+  /// their arrivals and callbacks on. Sequential mode: the one queue.
   EventQueue& tenant_events(int tenant);
   /// Queue driving a fabric port / a server's host (fault routing).
   EventQueue& port_events(topology::PortId id);
@@ -381,8 +385,8 @@ class ClusterSim {
     std::vector<DeliveryRecord> trace;
   };
 
-  /// Egress hook wired to every fabric port in parallel mode; forwards to
-  /// offer_cross_island.
+  /// Egress hook wired to every fabric port of a multi-island partition;
+  /// forwards to offer_cross_island.
   struct CrossIslandHandoff final : PortTxHandoff {
     ClusterSim* owner = nullptr;
     bool offer(SwitchPortSim& port, PacketHandle h,
@@ -434,12 +438,23 @@ class ClusterSim {
   /// Register the shared metric catalog into one island's registry shard
   /// and cache the handles. Identical names and order on every island.
   void register_catalog(IslandState& isl);
-  /// Parallel mode: build the partition from the admitted placement and
-  /// construct islands/fabric/hosts. Idempotent; the first run, driver
-  /// attach, or fabric access triggers it. Sequential construction runs
-  /// the equivalent inline in the constructor.
+  bool materialized() const { return !islands_.empty(); }
+  /// Build islands, fabric and hosts for `part` — the one construction
+  /// path — then plumb every tenant admitted so far.
+  void materialize(IslandPartition part);
+  /// Parallel mode: materialize the partition of the admitted placement.
+  /// Idempotent; the first run, driver attach, or fabric access triggers it.
   void materialize();
-  void run_parallel_until(TimeNs deadline);
+  /// Attach a tenant's pacers to its hosts and start its rebalance timer.
+  void plumb_tenant(int tenant);
+  /// Throws std::logic_error naming `what` and the `remedy` in parallel
+  /// mode.
+  void sequential_only(const char* what, const char* remedy) const;
+  int tenant_island(int tenant) const;
+  /// Flow-table key of a VM pair; throws std::out_of_range for an index
+  /// outside [0, num_vms) rather than alias another pair.
+  static std::int64_t pair_key(const TenantRuntime& rt, int src_local,
+                               int dst_local);
   void drain_inbox(int island);
   void island_arrival(int island, PacketHandle h);
   bool offer_cross_island(SwitchPortSim& port, PacketHandle h,
@@ -447,8 +462,6 @@ class ClusterSim {
   int next_hop_port(const Packet& p) const;
 
   ClusterConfig cfg_;
-  bool parallel_ = false;
-  bool materialized_ = false;
   PortConfig port_template_;
   Host::Config host_template_;
   std::unique_ptr<topology::Topology> topo_;
@@ -463,10 +476,8 @@ class ClusterSim {
   CrossIslandHandoff handoff_;
   std::int64_t rounds_ = 0;
   bool trace_enabled_ = false;
-  /// Admissions/rejections seen before the islands (and their registry
-  /// shards) exist in parallel mode; replayed into island 0 at
-  /// materialize().
-  std::int64_t pending_admissions_ = 0;
+  /// Rejections seen before the islands (and their registry shards) exist
+  /// in parallel mode; replayed into island 0 at materialize().
   std::int64_t pending_rejections_ = 0;
   int next_global_vm_ = 0;
   PacketTap tap_;

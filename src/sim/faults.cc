@@ -112,40 +112,44 @@ FaultPlan FaultPlan::random(const topology::Topology& topo, std::uint64_t seed,
 FaultInjector::FaultInjector(ClusterSim& sim, FaultPlan plan)
     : sim_(sim), plan_(std::move(plan)), loss_rng_(plan_.seed) {}
 
+EventQueue& FaultInjector::queue_for(const FaultAction& a) {
+  // Each action fires on the event queue of the island that owns the
+  // faulted element, so parallel mode needs no cross-island control events
+  // (the action closure only touches island-local state).
+  switch (a.kind) {
+    case FaultAction::Kind::kLinkDown:
+    case FaultAction::Kind::kLinkUp:
+      return sim_.port_events(topology::PortId{a.port});
+    case FaultAction::Kind::kLossStart:
+    case FaultAction::Kind::kLossStop:
+      // Loss windows draw from one shared Rng whose consumption order
+      // depends on global packet interleaving — not a pure function of the
+      // partition, so they stay sequential-only.
+      if (sim_.parallel_mode())
+        throw std::logic_error(
+            "FaultInjector: loss windows are sequential-mode only (the "
+            "shared loss Rng is not island-confined)");
+      return sim_.port_events(topology::PortId{a.port});
+    case FaultAction::Kind::kServerDown:
+    case FaultAction::Kind::kServerUp:
+      return sim_.server_events(a.server);
+    case FaultAction::Kind::kChannelLossStart:
+    case FaultAction::Kind::kChannelLossStop:
+      return sim_.control_events();
+  }
+  throw std::logic_error("FaultInjector: unknown action kind");
+}
+
 void FaultInjector::arm() {
+  // Resolve every action's queue before scheduling any, so a plan that
+  // throws leaves nothing armed (the closures capture `this`).
+  std::vector<EventQueue*> queues;
+  queues.reserve(plan_.actions.size());
+  for (const FaultAction& a : plan_.actions) queues.push_back(&queue_for(a));
   for (std::size_t i = 0; i < plan_.actions.size(); ++i) {
-    const FaultAction& a = plan_.actions[i];
-    // Each action fires on the event queue of the island that owns the
-    // faulted element, so parallel mode needs no cross-island control
-    // events (the action closure only touches island-local state).
-    EventQueue* ev = nullptr;
-    switch (a.kind) {
-      case FaultAction::Kind::kLinkDown:
-      case FaultAction::Kind::kLinkUp:
-        ev = &sim_.port_events(topology::PortId{a.port});
-        break;
-      case FaultAction::Kind::kLossStart:
-      case FaultAction::Kind::kLossStop:
-        // Loss windows draw from one shared Rng whose consumption order
-        // depends on global packet interleaving — not a pure function of
-        // the partition, so they stay sequential-only.
-        if (sim_.parallel_mode())
-          throw std::logic_error(
-              "FaultInjector: loss windows are sequential-mode only (the "
-              "shared loss Rng is not island-confined)");
-        ev = &sim_.port_events(topology::PortId{a.port});
-        break;
-      case FaultAction::Kind::kServerDown:
-      case FaultAction::Kind::kServerUp:
-        ev = &sim_.server_events(a.server);
-        break;
-      case FaultAction::Kind::kChannelLossStart:
-      case FaultAction::Kind::kChannelLossStop:
-        ev = &sim_.control_events();
-        break;
-    }
-    const TimeNs when = std::max(ev->now(), a.at);
-    ev->at(when, [this, i] { execute(plan_.actions[i]); });
+    EventQueue& ev = *queues[i];
+    ev.at(std::max(ev.now(), plan_.actions[i].at),
+          [this, i] { execute(plan_.actions[i]); });
   }
 }
 

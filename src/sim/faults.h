@@ -72,6 +72,9 @@ class FaultInjector {
 
   /// Schedule every action. Call once, before (or during) the run; actions
   /// whose time is already in the past execute at the current time.
+  /// All-or-nothing: a plan with an action this cluster cannot run (a loss
+  /// window in parallel mode, an out-of-range port or server) throws before
+  /// anything is scheduled.
   void arm();
 
   /// Wire a ControlChannel so kChannelLoss* actions reach it; channel
@@ -82,6 +85,9 @@ class FaultInjector {
   int executed() const { return executed_; }
 
  private:
+  /// The queue of the island owning the action's target; throws for an
+  /// action the cluster cannot run.
+  EventQueue& queue_for(const FaultAction& a);
   void execute(const FaultAction& a);
 
   ClusterSim& sim_;

@@ -4,14 +4,6 @@
 
 namespace silo::sim {
 
-Fabric::Fabric(EventQueue& events, const topology::Topology& topo,
-               const PortConfig& port_template)
-    : Fabric(topo, port_template,
-             std::vector<int>(static_cast<std::size_t>(topo.num_ports()), 0),
-             {&events}) {
-  events_ = &events;
-}
-
 Fabric::Fabric(const topology::Topology& topo,
                const PortConfig& port_template, std::vector<int> port_island,
                const std::vector<EventQueue*>& island_queues)
@@ -28,10 +20,6 @@ Fabric::Fabric(const topology::Topology& topo,
         [this, island, q](PacketHandle h) { advance(island, *q, h); });
     ports_[static_cast<std::size_t>(i)]->set_location(i);
   }
-}
-
-void Fabric::ingress_from_host(PacketHandle h) {
-  ingress_from_host(0, *events_, h);
 }
 
 void Fabric::ingress_from_host(int island, EventQueue& q, PacketHandle h) {

@@ -27,11 +27,11 @@ namespace silo::sim {
 /// allocation-free per hop via Topology::path_span — pure, so islands
 /// share nothing through routing).
 ///
-/// The fabric can be island-sharded: each port is driven by its island's
+/// The fabric is island-sharded: each port is driven by its island's
 /// EventQueue, and routing stays island-local because cross-island
 /// transmissions are intercepted at the egress port (PortTxHandoff) before
-/// they would hop queues. The single-queue constructor is the sequential
-/// mode and behaves exactly as before.
+/// they would hop queues. Sequential mode is the one-island case: every
+/// port on island 0's queue.
 class Fabric {
  public:
   /// Receives ownership of the delivered handle.
@@ -39,25 +39,17 @@ class Fabric {
   /// Island-aware delivery: island + queue that ran the final hop.
   using IslandDeliverFn = std::function<void(int, EventQueue&, PacketHandle)>;
 
-  /// Sequential fabric: every port on one queue (island 0).
-  Fabric(EventQueue& events, const topology::Topology& topo,
-         const PortConfig& port_template);
-
-  /// Island-sharded fabric: port i is driven by
-  /// *island_queues[port_island[i]].
+  /// Port i is driven by *island_queues[port_island[i]].
   Fabric(const topology::Topology& topo, const PortConfig& port_template,
          std::vector<int> port_island,
          const std::vector<EventQueue*>& island_queues);
 
-  void set_host_deliver(DeliverFn fn) {
-    deliver_ = [f = std::move(fn)](int, EventQueue&, PacketHandle h) { f(h); };
-  }
   void set_island_deliver(IslandDeliverFn fn) { deliver_ = std::move(fn); }
 
-  /// Entry point for packets leaving a host NIC (the server->ToR wire has
-  /// already been simulated by the NIC). Void packets die here: the first
-  /// hop switch discards them by MAC address. Takes ownership.
-  void ingress_from_host(PacketHandle h);  ///< sequential mode (island 0)
+  /// Entry point for packets leaving a host NIC on `island` (the
+  /// server->ToR wire has already been simulated by the NIC). Void packets
+  /// die here: the first hop switch discards them by MAC address. Takes
+  /// ownership.
   void ingress_from_host(int island, EventQueue& q, PacketHandle h);
 
   /// Resume routing for a packet that just crossed into `island` through
@@ -82,7 +74,6 @@ class Fabric {
   void advance(int island, EventQueue& q, PacketHandle h);
 
   const topology::Topology& topo_;
-  EventQueue* events_ = nullptr;  ///< sequential default queue (else null)
   std::vector<int> port_island_;
   std::vector<std::unique_ptr<SwitchPortSim>> ports_;
   IslandDeliverFn deliver_;

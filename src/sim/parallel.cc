@@ -37,14 +37,12 @@ struct UnionFind {
 
 }  // namespace
 
-IslandPartition IslandPartition::single(const topology::Topology& topo,
-                                        int num_tenants) {
+IslandPartition IslandPartition::single(const topology::Topology& topo) {
   IslandPartition p;
   p.num_islands = 1;
   p.num_components = 1;
   p.rack_island.assign(static_cast<std::size_t>(topo.num_racks()), 0);
   p.port_island.assign(static_cast<std::size_t>(topo.num_ports()), 0);
-  p.tenant_island.assign(static_cast<std::size_t>(num_tenants), 0);
   p.component.assign(1, 0);
   p.component_lookahead.assign(1, kTimeInfinity);
   return p;
@@ -119,14 +117,6 @@ IslandPartition IslandPartition::build(
         root_id[static_cast<std::size_t>(root)];
   }
 
-  out.tenant_island.assign(static_cast<std::size_t>(num_tenants), 0);
-  for (int t = 0; t < num_tenants; ++t) {
-    const auto& racks = tenant_racks[static_cast<std::size_t>(t)];
-    if (!racks.empty())
-      out.tenant_island[static_cast<std::size_t>(t)] =
-          out.rack_island[static_cast<std::size_t>(racks[0])];
-  }
-
   // 5. Port ownership. Rack-level queues belong to their rack's island;
   //    pod queues shared by >= 2 islands become dedicated single-port
   //    islands (numbered after the rack islands, pods in order, up before
@@ -172,7 +162,9 @@ IslandPartition IslandPartition::build(
   for (int t = 0; t < num_tenants; ++t) {
     const auto& pods = tenant_pods[static_cast<std::size_t>(t)];
     if (pods.size() < 2) continue;
-    const int isl = out.tenant_island[static_cast<std::size_t>(t)];
+    // All of the tenant's racks were united in step 1: any one names it.
+    const int isl = out.rack_island[static_cast<std::size_t>(
+        tenant_racks[static_cast<std::size_t>(t)][0])];
     for (int ps : pods) {
       for (int pd : pods) {
         if (ps == pd) continue;

@@ -68,7 +68,6 @@ struct IslandPartition {
   int num_components = 1;
   std::vector<int> rack_island;           ///< rack -> island
   std::vector<int> port_island;           ///< fabric port id -> island
-  std::vector<int> tenant_island;         ///< tenant -> island
   std::vector<int> component;             ///< island -> component
   std::vector<TimeNs> component_lookahead;///< component -> min crossing lat.
   int crossing_edges = 0;                 ///< distinct directed crossings
@@ -84,9 +83,9 @@ struct IslandPartition {
       const topology::Topology& topo, TimeNs link_delay,
       const std::vector<std::vector<int>>& tenant_servers);
 
-  /// The trivial single-island partition (sequential mode).
-  static IslandPartition single(const topology::Topology& topo,
-                                int num_tenants);
+  /// The one-island partition: sequential mode. No port crosses an island
+  /// boundary, so the window protocol finishes every run in one round.
+  static IslandPartition single(const topology::Topology& topo);
 };
 
 /// One packet crossing an island boundary. The source island frees its

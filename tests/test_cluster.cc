@@ -152,6 +152,46 @@ TEST(ClusterSim, PacingThrottlesAboveGuarantee) {
   EXPECT_GT(gbps, 0.40);
 }
 
+TEST(ClusterSim, AdmissionAfterRunIsPaced) {
+  // A tenant admitted mid-run gets its pacers and rebalance timer exactly
+  // like one admitted before the first run: one 1 MB message on a
+  // {B = 100 Mbps, S = 15 KB} guarantee needs at least (size - S) / B.
+  ClusterSim sim(spread_cluster(Scheme::kSilo));
+  sim.run_until(10 * kMsec);
+  const auto t = sim.add_tenant(silo_tenant(2, 100 * kMbps, 15 * kKB));
+  ASSERT_TRUE(t);
+  ASSERT_NE(sim.vm_server(*t, 0), sim.vm_server(*t, 1));
+  std::optional<TimeNs> latency;
+  sim.send_message(*t, 0, 1, kMB, [&](const ClusterSim::MessageResult& r) {
+    latency = r.latency;
+  });
+  sim.run_until(1 * kSec);
+  ASSERT_TRUE(latency.has_value());
+  EXPECT_GE(*latency, transmission_time(kMB - 15 * kKB, 100 * kMbps));
+}
+
+TEST(ClusterSim, VmIndexOutsideTenantThrows) {
+  // Flows are keyed src * num_vms + dst, so (0, num_vms) would alias the
+  // (1, 0) flow if the index were not range-checked first.
+  ClusterSim sim(small_cluster(Scheme::kTcp));
+  TenantRequest req;
+  req.num_vms = 2;
+  req.guarantee = {1 * kGbps, 15 * kKB, TimeNs{0}, 1 * kGbps};
+  const auto t = sim.add_tenant(req);
+  ASSERT_TRUE(t);
+  sim.send_message(*t, 1, 0, 10 * kKB);
+  sim.run_until(10 * kMsec);
+  ASSERT_EQ(sim.pair_delivered_bytes(*t, 1, 0), (10 * kKB).count());
+
+  EXPECT_THROW(sim.send_message(*t, 0, 2, 10 * kKB), std::out_of_range);
+  EXPECT_THROW(sim.pair_delivered_bytes(*t, 0, 2), std::out_of_range);
+  EXPECT_THROW(sim.debug_flow(*t, 0, 2), std::out_of_range);
+  EXPECT_THROW(sim.send_message(*t, -1, 0, 10 * kKB), std::out_of_range);
+  // A tenant's island is read off its first VM, so it must have one.
+  req.num_vms = 0;
+  EXPECT_THROW(sim.add_tenant_pinned(req, {}), std::invalid_argument);
+}
+
 TEST(ClusterSim, TcpUsesFullLink) {
   ClusterSim sim(small_cluster(Scheme::kTcp));
   TenantRequest req;

@@ -41,8 +41,8 @@ TEST(IslandPartition, TenantRacksShareOneIsland) {
                                            {{0, 8}, {4, 5}});
   EXPECT_EQ(part.rack_island[0], part.rack_island[2]);
   EXPECT_NE(part.rack_island[0], part.rack_island[1]);
-  EXPECT_EQ(part.tenant_island[0], part.rack_island[0]);
-  EXPECT_EQ(part.tenant_island[1], part.rack_island[1]);
+  EXPECT_EQ(part.island_of_server(topo, 8), part.rack_island[0]);
+  EXPECT_EQ(part.island_of_server(topo, 5), part.rack_island[1]);
   // Rack-level queues belong to their rack's island.
   EXPECT_EQ(part.port_island[static_cast<std::size_t>(topo.rack_up(1).value)],
             part.rack_island[1]);
@@ -58,8 +58,10 @@ TEST(IslandPartition, SharedPodQueuesBecomeDedicatedIslands) {
   // islands and every crossing has positive lookahead.
   const auto part = IslandPartition::build(topo, TimeNs{500},
                                            {{0, 8}, {4, 12}});
-  const int a = part.tenant_island[0];
-  const int b = part.tenant_island[1];
+  const int a = part.island_of_server(topo, 0);
+  const int b = part.island_of_server(topo, 4);
+  EXPECT_EQ(part.island_of_server(topo, 8), a);
+  EXPECT_EQ(part.island_of_server(topo, 12), b);
   EXPECT_NE(a, b);
   const int up0 = part.port_island[static_cast<std::size_t>(topo.pod_up(0).value)];
   EXPECT_NE(up0, a);
@@ -93,7 +95,7 @@ TEST(IslandPartition, ZeroLookaheadCrossingsAreMergedAway) {
                                            {{0, 8}, {4, 12}});
   EXPECT_GT(part.merged_zero_latency, 0);
   EXPECT_EQ(part.crossing_edges, 0);
-  EXPECT_EQ(part.tenant_island[0], part.tenant_island[1]);
+  EXPECT_EQ(part.island_of_server(topo, 0), part.island_of_server(topo, 4));
 }
 
 // -------------------------------------------------- determinism scenarios
@@ -109,7 +111,7 @@ struct Outcome {
   std::vector<obs::MetricSample> metrics;
 };
 
-/// threads == -1: classic sequential engine. threads == 0: parallel engine,
+/// threads == -1: the one-island partition. threads == 0: parallel engine,
 /// serial fallback. threads >= 1: parallel engine, thread-pool executor.
 Outcome run_flap_scenario(int threads) {
   sim::ClusterConfig cfg;
@@ -279,7 +281,7 @@ void expect_metrics_equal(const std::vector<obs::MetricSample>& a,
   }
 }
 
-// The tentpole acceptance test. Baseline: the classic single-queue engine.
+// The tentpole acceptance test. Baseline: the one-island partition.
 // Every parallel run — serial fallback and thread pool at 1/2/4/8 — must
 // reproduce its delivery trace bit-for-bit, agree on the merged metric
 // snapshot, and never hit a cross-island tie (which certifies the checksum
@@ -400,6 +402,35 @@ TEST(ParallelMode, SequentialOnlySurfacesThrow) {
   cluster.add_tenant_pinned(r, {0, 1});
   cluster.run_until(kMsec);  // materializes the partition
   EXPECT_THROW(cluster.add_tenant_pinned(r, {4, 5}), std::logic_error);
+  // The refused admission must not reach the placer: no phantom tenant.
+  const int free_slots = cluster.placer().free_slots();
+  const int placed = cluster.placer().admitted_tenants();
+  EXPECT_THROW(cluster.add_tenant(r), std::logic_error);
+  EXPECT_EQ(cluster.placer().free_slots(), free_slots);
+  EXPECT_EQ(cluster.placer().admitted_tenants(), placed);
+  EXPECT_EQ(cluster.num_tenants(), 1);
+}
+
+// arm() is all-or-nothing: the plan's link flap comes before the loss
+// window it cannot run, and must not be left scheduled by the throw.
+TEST(ParallelMode, RejectedFaultPlanArmsNothing) {
+  sim::ClusterConfig cfg;
+  cfg.topo = two_pod_topo();
+  cfg.parallel.enabled = true;
+  sim::ClusterSim cluster(cfg);
+  TenantRequest r;
+  r.num_vms = 2;
+  r.tenant_class = TenantClass::kBandwidthOnly;
+  r.guarantee = {RateBps{1e9}, Bytes{1500}, TimeNs{0}, RateBps{1e9}};
+  cluster.add_tenant_pinned(r, {0, 8});
+
+  sim::FaultPlan plan;
+  plan.link_flap(kMsec, cluster.topo().rack_up(0), kMsec);
+  plan.loss_window(kMsec, 2 * kMsec, cluster.topo().rack_up(0), 0.1);
+  sim::FaultInjector chaos(cluster, plan);
+  EXPECT_THROW(chaos.arm(), std::logic_error);
+  cluster.run_until(5 * kMsec);
+  EXPECT_EQ(chaos.executed(), 0);
 }
 
 // The thread-pool executor itself: all indices run exactly once, the

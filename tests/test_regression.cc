@@ -48,9 +48,10 @@ TEST(Regression, HostSchedulerIsFairAcrossDestinations) {
   tc.servers_per_rack = 5;
   tc.vm_slots_per_server = 1;
   topology::Topology topo(tc);
-  sim::Fabric fabric(ev, topo, sim::PortConfig{});
+  sim::Fabric fabric(topo, sim::PortConfig{},
+                     std::vector<int>(topo.num_ports(), 0), {&ev});
   std::int64_t recv[5] = {0, 0, 0, 0, 0};
-  fabric.set_host_deliver([&](sim::PacketHandle h) {
+  fabric.set_island_deliver([&](int, sim::EventQueue&, sim::PacketHandle h) {
     const sim::Packet& p = ev.pool().get(h);
     recv[p.dst_vm] += p.payload.count();
     ev.pool().free(h);

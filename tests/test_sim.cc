@@ -386,9 +386,10 @@ TEST(Fabric, RoutesAcrossRacksAndDropsVoids) {
   tcfg.racks_per_pod = 2;
   tcfg.servers_per_rack = 2;
   topology::Topology topo(tcfg);
-  Fabric fabric(ev, topo, PortConfig{});
+  Fabric fabric(topo, PortConfig{}, std::vector<int>(topo.num_ports(), 0),
+                {&ev});
   std::vector<Packet> received;
-  fabric.set_host_deliver([&](PacketHandle h) {
+  fabric.set_island_deliver([&](int, EventQueue&, PacketHandle h) {
     received.push_back(ev.pool().get(h));
     ev.pool().free(h);
   });
@@ -396,10 +397,10 @@ TEST(Fabric, RoutesAcrossRacksAndDropsVoids) {
   Packet p = data_packet(1);
   p.src_server = 0;
   p.dst_server = 7;  // cross-pod
-  fabric.ingress_from_host(ev.pool().clone(p));
+  fabric.ingress_from_host(0, ev, ev.pool().clone(p));
   Packet v = p;
   v.is_void = true;
-  fabric.ingress_from_host(ev.pool().clone(v));
+  fabric.ingress_from_host(0, ev, ev.pool().clone(v));
   ev.run_all();
   ASSERT_EQ(received.size(), 1u);  // the void died at the first hop
   EXPECT_EQ(received[0].dst_server, 7);
@@ -414,9 +415,10 @@ TEST(Host, PacedHostSpacesPacketsOnWire) {
   tcfg.racks_per_pod = 1;
   tcfg.servers_per_rack = 2;
   topology::Topology topo(tcfg);
-  Fabric fabric(ev, topo, PortConfig{});
+  Fabric fabric(topo, PortConfig{}, std::vector<int>(topo.num_ports(), 0),
+                {&ev});
   std::vector<TimeNs> arrivals;
-  fabric.set_host_deliver([&](PacketHandle h) {
+  fabric.set_island_deliver([&](int, EventQueue&, PacketHandle h) {
     arrivals.push_back(ev.now());
     ev.pool().free(h);
   });
@@ -453,9 +455,11 @@ TEST(Host, LoopbackBypassesFabric) {
   tcfg.racks_per_pod = 1;
   tcfg.servers_per_rack = 2;
   topology::Topology topo(tcfg);
-  Fabric fabric(ev, topo, PortConfig{});
-  fabric.set_host_deliver(
-      [](PacketHandle) { FAIL() << "loopback hit the fabric"; });
+  Fabric fabric(topo, PortConfig{}, std::vector<int>(topo.num_ports(), 0),
+                {&ev});
+  fabric.set_island_deliver([](int, EventQueue&, PacketHandle) {
+    FAIL() << "loopback hit the fabric";
+  });
   Host host(ev, fabric, 0, Host::Config{});
   int local = 0;
   host.set_local_deliver([&](PacketHandle h) {
