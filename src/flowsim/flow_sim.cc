@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "flowsim/flow_table.h"
@@ -46,11 +47,54 @@ struct Ev {
   EvKind kind = EvKind::kArrival;
 };
 
-struct EvLater {
-  bool operator()(const Ev& a, const Ev& b) const {
-    if (a.t != b.t) return a.t > b.t;
-    return a.seq > b.seq;
+/// 4-ary min-heap of events on (t, seq). The key is a strict total order
+/// (seq is unique), so the pop sequence is that of any correct priority
+/// queue; four children per node halve the depth a pop sifts through,
+/// which is where a saturated run spends its event time (a 1500 s run at
+/// 90% locality occupancy pops ~65M events).
+class EventHeap {
+ public:
+  bool empty() const { return v_.empty(); }
+  const Ev& top() const { return v_.front(); }
+
+  void push(const Ev& e) {
+    std::size_t i = v_.size();
+    v_.push_back(e);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!earlier(e, v_[parent])) break;
+      v_[i] = v_[parent];
+      i = parent;
+    }
+    v_[i] = e;
   }
+
+  void pop() {
+    const Ev last = v_.back();
+    v_.pop_back();
+    const std::size_t n = v_.size();
+    if (n == 0) return;
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + 4, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (earlier(v_[c], v_[best])) best = c;
+      if (!earlier(v_[best], last)) break;
+      v_[i] = v_[best];
+      i = best;
+    }
+    v_[i] = last;
+  }
+
+ private:
+  static bool earlier(const Ev& a, const Ev& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  }
+
+  std::vector<Ev> v_;
 };
 
 /// Event-driven fluid simulation: rates are piecewise-constant between
@@ -81,9 +125,13 @@ class Sim {
 
  private:
   // --- event plumbing --------------------------------------------------
+  /// An event at or past the horizon would never pop, so it is not stored
+  /// (saturated runs predict many completions beyond it). It still takes
+  /// its seq, so every stored event's key is what it would have been.
   void push_event(double t, EvKind kind, std::int32_t id,
                   std::uint32_t gen = 0) {
-    heap_.push(Ev{t, seq_++, id, gen, kind});
+    const std::uint64_t seq = seq_++;
+    if (t < cfg_.sim_duration_s) heap_.push(Ev{t, seq, id, gen, kind});
   }
 
   void on_arrival(int index);
@@ -168,19 +216,9 @@ class Sim {
   void solve_now(int job_id, const std::vector<int>& ports) {
     if (cfg_.policy == placement::Policy::kLocality) {
       ++perf_.solves;
-      // Dense-change shortcut: when the seed ports alone approach the open
-      // fabric flow count (coalesced grid under saturation, where the
-      // sharing graph is one giant component anyway), the component BFS
-      // would scatter-walk nearly every flow just to conclude "all of
-      // them" — a linear global re-solve is cheaper and, because a
-      // superset solve waterfills untouched components to bit-identical
-      // rates, produces exactly the same result.
-      const bool dense =
-          ports.size() * 8 > static_cast<std::size_t>(open_fabric_flows_);
-      const auto& rates =
-          cfg_.solver == SolverMode::kIncremental && !dense
-              ? solver_.solve_touching(ports, open_fabric_flows_)
-              : solver_.solve_all();
+      const auto& rates = cfg_.solver == SolverMode::kIncremental
+                              ? solver_.solve_touching(ports)
+                              : solver_.solve_all();
       for (const auto& [f, r] : rates) set_rate(f, r);
     } else if (cfg_.solver == SolverMode::kIncremental) {
       solve_job(job_id);
@@ -269,13 +307,12 @@ class Sim {
   std::vector<double> arrivals_;
   std::vector<Job> jobs_;
   std::vector<int> live_jobs_;  ///< non-departed job ids, ascending
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> heap_;
+  EventHeap heap_;
   std::uint64_t seq_ = 0;
   double t_ = 0;
 
   const int total_slots_;
   int used_slots_ = 0;
-  int open_fabric_flows_ = 0;  ///< open flows with at least one fabric hop
   double util_acc_ = 0;          ///< bit-seconds carried by the fabric
   double occupancy_acc_ = 0;     ///< slot-seconds occupied
   double occupancy_mark_s_ = 0;  ///< occupancy integrated up to here
@@ -370,7 +407,6 @@ void Sim::on_arrival(int index) {
     fl.updated_s = at;
     job.flow_ids.push_back(fid);
     ++job.open_flows;
-    if (span.size > 0) ++open_fabric_flows_;
     for (const topology::PortId p : span) touched_ports_.push_back(p.value);
   }
   jobs_.push_back(std::move(job));
@@ -398,7 +434,6 @@ void Sim::on_flow_done(int f, std::uint32_t gen) {
   touched_ports_.clear();
   for (int i = 0; i < fl.n_ports; ++i)
     touched_ports_.push_back(fl.ports[static_cast<std::size_t>(i)]);
-  if (fl.n_ports > 0) --open_fabric_flows_;
   table_.close(f);
   Job& job = jobs_[static_cast<std::size_t>(job_id)];
   --job.open_flows;
@@ -508,6 +543,21 @@ FlowSimResult Sim::run() {
 
 FlowSimResult run_flow_sim(const FlowSimConfig& cfg,
                            obs::MetricsRegistry* metrics) {
+  // The arrival rate is occupancy x slots / (mean_vms x residence). An
+  // infinite rate makes every inter-arrival gap 0 and an infinite horizon
+  // never ends the arrival loop; a NaN grid step would poison the event
+  // order. Reject those along with the values no run can mean.
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("FlowSimConfig: ") + what);
+  };
+  if (!(cfg.mean_vms >= 2) || !std::isfinite(cfg.mean_vms))
+    reject("mean_vms must be finite and >= 2");
+  if (!(cfg.occupancy > 0) || !std::isfinite(cfg.occupancy))
+    reject("occupancy must be finite and > 0");
+  if (!(cfg.sim_duration_s >= 0) || !std::isfinite(cfg.sim_duration_s))
+    reject("sim_duration_s must be finite and >= 0");
+  if (!(cfg.rate_update_s >= 0) || !std::isfinite(cfg.rate_update_s))
+    reject("rate_update_s must be finite and >= 0");
   Sim sim(cfg, metrics);
   return sim.run();
 }

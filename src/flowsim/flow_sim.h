@@ -45,8 +45,9 @@ struct FlowSimConfig {
   double occupancy = 0.75;       ///< target average VM-slot occupancy
   double class_a_fraction = 0.5;
   double permutation_x = 1.0;    ///< class-B pattern; <= 0 means all-to-all
-  /// Geometric tenant size (>= 2). Keep this above vm_slots_per_server so
-  /// tenants actually span servers and exercise the fabric.
+  /// Geometric tenant size (finite, >= 2). Keep this above
+  /// vm_slots_per_server so tenants actually span servers and exercise the
+  /// fabric.
   double mean_vms = 12.0;
 
   // Class-A (delay-sensitive, all-to-one) guarantee means — Table 3.
@@ -70,13 +71,16 @@ struct FlowSimConfig {
   double compute_time_mean_s = 20.0;
   double sim_duration_s = 1500.0;
   double warmup_s = 150.0;
-  /// Rate re-solve coalescing grid (seconds). 0 = re-solve on every flow
-  /// add/remove (pure event-driven). > 0 = queue flow-set changes and
-  /// re-solve once per grid point — the granularity the fixed-step fluid
-  /// simulator used — which bounds solver work when sustained saturation
-  /// percolates the sharing graph into one giant component (32K-server
-  /// locality at 90% occupancy). Queued flows run at rate 0 until their
-  /// first grid solve, so they can never complete early. The grid applies
+  /// Rate re-solve coalescing grid (seconds, finite, >= 0). 0 = re-solve
+  /// on every flow add/remove (pure event-driven). > 0 = queue flow-set
+  /// changes and re-solve once per grid point — the granularity the
+  /// fixed-step fluid simulator used — which bounds the number of solves
+  /// under saturation, where changes arrive far faster than the grid. At
+  /// 32K servers and 90% locality occupancy one 1 s grid solve covers
+  /// ~430-660 components of at most ~190 flows until ~345 s; from ~415 s
+  /// the sharing graph percolates into one giant component that grows to
+  /// ~173K flows by 1500 s. Queued flows run at rate 0 until their first
+  /// grid solve, so they can never complete early. The grid applies
   /// identically in both solver modes: cross-mode bit-equivalence holds at
   /// any value.
   double rate_update_s = 0.0;
@@ -121,7 +125,9 @@ struct FlowSimResult {
 /// Run one simulation. When `metrics` is non-null the run's perf counters
 /// are published once at the end under the flowsim.* family — pass a fresh
 /// registry per run (counter names, like all registry names, are
-/// register-once).
+/// register-once). Throws std::invalid_argument unless mean_vms is finite
+/// and >= 2, occupancy is finite and > 0, and sim_duration_s and
+/// rate_update_s are finite and >= 0 (a zero horizon runs nothing).
 FlowSimResult run_flow_sim(const FlowSimConfig& cfg,
                            obs::MetricsRegistry* metrics = nullptr);
 
