@@ -62,10 +62,9 @@ void VmPacer::set_destination_rate(TimeNs now, int dst, RateBps rate) {
   dest_bucket(dst).set_rate(now, std::max(rate, floor));
 }
 
-TimeNs VmPacer::peek(TimeNs now, int dst, Bytes bytes) {
+TimeNs VmPacer::peek(TimeNs now, const TokenBucket& top, Bytes bytes) const {
   if (bytes <= Bytes{0} || bytes > mtu_)
     throw std::invalid_argument("pacer stamps wire packets of <= one MTU");
-  auto& top = dest_bucket(dst);
   TimeNs t = now;
   t = std::max(t, top.earliest_conformance(t, bytes));
   t = std::max(t, middle_.earliest_conformance(t, bytes));
@@ -73,14 +72,8 @@ TimeNs VmPacer::peek(TimeNs now, int dst, Bytes bytes) {
   return t;
 }
 
-TimeNs VmPacer::stamp(TimeNs now, int dst, Bytes bytes) {
-  if (bytes <= Bytes{0} || bytes > mtu_)
-    throw std::invalid_argument("pacer stamps wire packets of <= one MTU");
-  auto& top = dest_bucket(dst);
-  TimeNs t = now;
-  t = std::max(t, top.earliest_conformance(t, bytes));
-  t = std::max(t, middle_.earliest_conformance(t, bytes));
-  t = std::max(t, bottom_.earliest_conformance(t, bytes));
+TimeNs VmPacer::stamp(TimeNs now, TokenBucket& top, Bytes bytes) {
+  const TimeNs t = peek(now, top, bytes);
   top.consume(t, bytes);
   middle_.consume(t, bytes);
   bottom_.consume(t, bytes);

@@ -55,15 +55,25 @@ class VmPacer {
 
   /// Stamp a packet toward `dst`: the earliest time >= now at which the
   /// packet conforms to all three buckets. Consumes the tokens.
-  TimeNs stamp(TimeNs now, int dst, Bytes bytes);
+  TimeNs stamp(TimeNs now, int dst, Bytes bytes) {
+    return stamp(now, dest_bucket(dst), bytes);
+  }
 
   /// The stamp the packet *would* get, without consuming tokens — lets a
   /// finite-queue hypervisor drop instead of admitting hopeless packets.
-  TimeNs peek(TimeNs now, int dst, Bytes bytes);
+  TimeNs peek(TimeNs now, int dst, Bytes bytes) {
+    return peek(now, dest_bucket(dst), bytes);
+  }
+
+  /// The top bucket toward `dst`, created at rate B on first use. Buckets
+  /// are never erased and map nodes never move, so a caller may keep the
+  /// reference for the pacer's lifetime and pass it to the overloads below
+  /// instead of looking the destination up per packet.
+  TokenBucket& dest_bucket(int dst);
+  TimeNs stamp(TimeNs now, TokenBucket& top, Bytes bytes);
+  TimeNs peek(TimeNs now, const TokenBucket& top, Bytes bytes) const;
 
  private:
-  TokenBucket& dest_bucket(int dst);
-
   SiloGuarantee guarantee_;
   Bytes mtu_;
   TokenBucket bottom_;  // Bmax

@@ -1,26 +1,11 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace silo::sim {
-
-namespace {
-
-/// FNV-1a over one 64-bit word, byte by byte (matches the golden-trace
-/// convention used by the determinism tests).
-std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-}  // namespace
 
 const char* scheme_name(Scheme s) {
   switch (s) {
@@ -834,9 +819,9 @@ void ClusterSim::dispatch(int island, PacketHandle h) {
     hosts_[static_cast<std::size_t>(p.dst_server)]->drop_faulted(h);
     return;
   }
-  // Snapshot the stage timeline before the handle is recycled — the
+  // Snapshot the stage record before the handle is recycled — the
   // attribution in on_flow_delivery (called under on_packet) needs it.
-  isl.pending_stages = ev.timeline().stages(PacketPool::slot_of(h));
+  isl.pending_stages = ev.pool().stages(h);
   isl.pending_arrival = ev.now();
   ev.pool().free(h);
   const std::size_t local = static_cast<std::size_t>(p.flow_id & kLocalFlowMask);
@@ -847,18 +832,16 @@ void ClusterSim::dispatch(int island, PacketHandle h) {
                 obs::host_location(p.dst_server));
   if (tap_) tap_(p);
   if (trace_enabled_) {
-    DeliveryRecord rec;
-    rec.at = ev.now();
-    rec.src_vm = p.src_vm;
-    rec.dst_vm = p.dst_vm;
-    rec.seq = p.seq;
-    rec.ack_seq = p.ack_seq;
-    rec.payload = p.payload.count();
-    rec.flags = static_cast<std::uint32_t>(p.is_ack) |
-                (static_cast<std::uint32_t>(p.ecn_marked) << 1) |
-                (static_cast<std::uint32_t>(p.ecn_echo) << 2) |
-                (static_cast<std::uint32_t>(p.priority) << 3);
-    isl.trace.push_back(rec);
+    const std::int64_t payload = p.payload.count();
+    if (payload < 0 || payload > std::numeric_limits<std::int32_t>::max())
+      throw std::out_of_range("ClusterSim: payload outside the trace's int32");
+    isl.trace.push_back(DeliveryRecord{
+        ev.now().count(), p.src_vm, p.dst_vm, p.seq, p.ack_seq,
+        static_cast<std::int32_t>(payload),
+        static_cast<std::uint32_t>(p.is_ack) |
+            (static_cast<std::uint32_t>(p.ecn_marked) << 1) |
+            (static_cast<std::uint32_t>(p.ecn_echo) << 2) |
+            (static_cast<std::uint32_t>(p.priority) << 3)});
   }
   isl.flows[local]->flow->on_packet(p);
 }
@@ -893,7 +876,7 @@ bool ClusterSim::offer_cross_island(SwitchPortSim& port, PacketHandle h,
   rec.src_island = src;
   rec.dst_island = dst;
   rec.packet = p;
-  rec.stages = ev.timeline().stages(PacketPool::slot_of(h));
+  rec.stages = ev.pool().stages(h);
   src_isl.outbox.push_back(rec);
   ev.pool().free(h);
   return true;
@@ -903,8 +886,8 @@ void ClusterSim::island_arrival(int island, PacketHandle h) {
   IslandState& isl = *islands_[static_cast<std::size_t>(island)];
   // The propagation across the boundary is wire time, exactly as a local
   // kPortDeliver would have charged it.
-  isl.events.timeline().advance(PacketPool::slot_of(h), isl.events.now(),
-                                obs::Stage::kSerialization);
+  isl.events.pool().stages(h).advance(isl.events.now(),
+                                     obs::Stage::kSerialization);
   fabric_->advance_from_gateway(island, isl.events, h);
 }
 
@@ -928,7 +911,7 @@ void ClusterSim::drain_inbox(int island) {
           "ClusterSim: cross-island arrival inside the closed window "
           "(lookahead violated)");
     const PacketHandle h = isl.events.pool().clone(rec.packet);
-    isl.events.timeline().restore(PacketPool::slot_of(h), rec.stages);
+    isl.events.pool().stages(h) = rec.stages;
     isl.events.schedule(rec.arrival, EventKind::kIslandArrival, &isl.gateway,
                         h);
   }
@@ -1074,42 +1057,12 @@ std::vector<obs::MetricSample> ClusterSim::merged_metrics() const {
   return merged;
 }
 
-namespace {
-
-std::uint64_t fold_record(std::uint64_t h, TimeNs at, int src_vm, int dst_vm,
-                          std::int64_t seq, std::int64_t ack_seq,
-                          std::int64_t payload, std::uint32_t flags) {
-  h = fnv1a_word(h, static_cast<std::uint64_t>(at.count()));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(src_vm));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(dst_vm));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(seq));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(ack_seq));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(payload));
-  h = fnv1a_word(h, flags);
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t ClusterSim::delivery_trace_checksum() const {
-  // Canonical order: sort by the full record tuple. Flow ids are excluded
-  // from the record on purpose — they encode the island and would differ
-  // between sequential and parallel runs of the same scenario.
-  std::vector<DeliveryRecord> all;
-  for (const auto& isl : islands_)
-    all.insert(all.end(), isl->trace.begin(), isl->trace.end());
-  std::sort(all.begin(), all.end(),
-            [](const DeliveryRecord& a, const DeliveryRecord& b) {
-              return std::tie(a.at, a.src_vm, a.dst_vm, a.seq, a.ack_seq,
-                              a.payload, a.flags) <
-                     std::tie(b.at, b.src_vm, b.dst_vm, b.seq, b.ack_seq,
-                              b.payload, b.flags);
-            });
-  std::uint64_t h = kFnvSeed;
-  for (const auto& r : all)
-    h = fold_record(h, r.at, r.src_vm, r.dst_vm, r.seq, r.ack_seq, r.payload,
-                    r.flags);
-  return h;
+  // Flow ids are excluded from the record on purpose — they encode the
+  // island and would differ between sequential and parallel runs.
+  std::vector<const DeliveryTrace*> traces;
+  for (const auto& isl : islands_) traces.push_back(&isl->trace);
+  return canonical_trace_checksum(traces);
 }
 
 std::uint64_t ClusterSim::island_trace_checksum() const {
@@ -1118,9 +1071,7 @@ std::uint64_t ClusterSim::island_trace_checksum() const {
   std::uint64_t h = kFnvSeed;
   for (const auto& isl : islands_) {
     h = fnv1a_word(h, static_cast<std::uint64_t>(isl->id));
-    for (const auto& r : isl->trace)
-      h = fold_record(h, r.at, r.src_vm, r.dst_vm, r.seq, r.ack_seq, r.payload,
-                      r.flags);
+    for (const DeliveryRecord& r : isl->trace) h = fold_record(h, r);
   }
   return h;
 }

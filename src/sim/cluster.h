@@ -36,6 +36,7 @@
 #include "pacer/headroom_lender.h"
 #include "pacer/pacer_config.h"
 #include "placement/placement.h"
+#include "sim/delivery_trace.h"
 #include "sim/network.h"
 #include "sim/parallel.h"
 #include "sim/transport.h"
@@ -292,6 +293,10 @@ class ClusterSim {
   std::uint64_t delivery_trace_checksum() const;
   std::uint64_t island_trace_checksum() const;
   std::int64_t delivery_trace_size() const;
+  /// One island's records, in arrival order.
+  const DeliveryTrace& island_trace(int island) const {
+    return islands_.at(static_cast<std::size_t>(island))->trace;
+  }
 
  private:
   struct FlowRuntime {
@@ -330,17 +335,6 @@ class ClusterSim {
   static constexpr int flow_island(int flow_id) {
     return flow_id >> kIslandShift;
   }
-
-  /// One delivered packet, as recorded by the delivery trace.
-  struct DeliveryRecord {
-    TimeNs at {};
-    int src_vm = -1;
-    int dst_vm = -1;
-    std::int64_t seq = 0;
-    std::int64_t ack_seq = 0;
-    std::int64_t payload = 0;
-    std::uint32_t flags = 0;  ///< is_ack | ecn<<1 | echo<<2 | prio<<3
-  };
 
   /// Everything one island owns. Sequential mode is exactly one of these;
   /// parallel mode holds num_islands() of them and every event executes
@@ -382,7 +376,7 @@ class ClusterSim {
     std::vector<MailboxRecord> outbox;
     std::vector<MailboxRecord> inbox;
     std::int64_t tie_collisions = 0;
-    std::vector<DeliveryRecord> trace;
+    DeliveryTrace trace;
   };
 
   /// Egress hook wired to every fabric port of a multi-island partition;

@@ -162,8 +162,7 @@ void EventQueue::dispatch(const Event& ev) {
       static_cast<SwitchPortSim*>(ev.target)->handle_deliver(ev.arg);
       break;
     case EventKind::kHostRelease:
-      static_cast<Host*>(ev.target)->handle_release(
-          static_cast<int>(ev.arg), ev.aux);
+      static_cast<Host*>(ev.target)->handle_release(ev.arg, ev.aux);
       break;
     case EventKind::kHostBuild:
       static_cast<Host*>(ev.target)->handle_build(ev.aux);

@@ -12,7 +12,7 @@
 //
 // The engine also owns the PacketPool: every component that can schedule
 // events can reach the packet arena through it, so packets travel as 4-byte
-// handles instead of 80-byte structs captured in closures.
+// handles instead of 96-byte structs captured in closures.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "obs/flight_recorder.h"
-#include "obs/packet_timeline.h"
 #include "sim/packet_pool.h"
 #include "util/units.h"
 
@@ -43,7 +42,7 @@ enum class EventKind : std::uint8_t {
   kRawCall,           ///< captureless fn(void* ctx, uint32 arg); fn in aux
   kPortTxDone,        ///< target SwitchPortSim, arg = packet handle
   kPortDeliver,       ///< target SwitchPortSim, arg = packet handle
-  kHostRelease,       ///< target Host, arg = vm, aux = generation
+  kHostRelease,       ///< target Host, arg = paced-VM index, aux = generation
   kHostBuild,         ///< target Host, aux = generation
   kHostBatchEnd,      ///< target Host
   kHostIngress,       ///< target Host, arg = packet handle
@@ -64,12 +63,6 @@ class EventQueue {
 
   PacketPool& pool() { return pool_; }
   const PacketPool& pool() const { return pool_; }
-
-  /// Per-packet stage accounting (latency-breakdown attribution), keyed by
-  /// pool handle. Lives here so every component holding the event queue can
-  /// reach it without extra plumbing. Always on; pure stores, no branches.
-  obs::PacketTimeline& timeline() { return timeline_; }
-  const obs::PacketTimeline& timeline() const { return timeline_; }
 
   /// Optional flight recorder; components check for null before recording.
   /// Owned by the facade (ClusterSim) or the test that enables it.
@@ -232,7 +225,6 @@ class EventQueue {
   std::vector<std::uint32_t> cb_free_;
 
   PacketPool pool_;
-  obs::PacketTimeline timeline_;
   obs::FlightRecorder* recorder_ = nullptr;
   TimeNs now_ {};
   std::uint64_t seq_ = 0;

@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace silo::sim {
 
@@ -99,9 +100,9 @@ void Host::set_up(bool up) {
   // Crash: everything parked on this server dies. Per-VM pacer queues,
   // the NIC batch queue (slot ids are pool handles) and the loopback
   // vswitch all hold live handles that must go back to the pool.
-  for (auto& [vm, v] : tx_) {
-    for (auto& [dst, dq] : v.dests) {
-      for (const PacketHandle h : dq.q) drop_faulted(h);
+  for (PacedVm& v : paced_) {
+    for (DestQueue& dq : v.dests) {
+      for (const Queued& e : dq.q) drop_faulted(e.handle);
       dq.q.clear();
       dq.bytes = Bytes{0};
     }
@@ -119,6 +120,26 @@ void Host::drop_faulted(PacketHandle h) {
   events_.pool().free(h);
 }
 
+void Host::attach_pacer(int global_vm, pacer::VmPacer* pacer) {
+  if (find_paced(global_vm) != nullptr)
+    throw std::logic_error("Host: VM already has a pacer");
+  PacedVm& v = paced_.emplace_back();
+  v.vm = global_vm;
+  v.pacer = pacer;
+}
+
+Host::PacedVm* Host::find_paced(int vm) {
+  for (PacedVm& v : paced_)
+    if (v.vm == vm) return &v;
+  return nullptr;
+}
+
+std::vector<Host::DestQueue>::iterator Host::lower_dest(PacedVm& v, int dst) {
+  return std::lower_bound(
+      v.dests.begin(), v.dests.end(), dst,
+      [](const DestQueue& dq, int d) { return dq.dst < d; });
+}
+
 void Host::send(PacketHandle h) {
   if (!up_) {
     drop_faulted(h);
@@ -131,10 +152,16 @@ void Host::send(PacketHandle h) {
     loopback_->enqueue(h);
     return;
   }
-  if (pacers_.count(p.src_vm) > 0) {
-    const int vm = p.src_vm;
-    auto& dq = tx_[vm].dests[p.dst_vm];
-    if (dq.bytes + p.wire_bytes > cfg_.pacer_queue_cap) {
+  if (PacedVm* v = find_paced(p.src_vm)) {
+    auto dq = lower_dest(*v, p.dst_vm);
+    if (dq == v->dests.end() || dq->dst != p.dst_vm) {
+      // First packet toward dst: its bucket is created here, in the send
+      // that first queues toward it, before any rebalance can touch it.
+      dq = v->dests.emplace(dq);
+      dq->dst = p.dst_vm;
+      dq->bucket = &v->pacer->dest_bucket(p.dst_vm);
+    }
+    if (dq->bytes + p.wire_bytes > cfg_.pacer_queue_cap) {
       ++pacer_drops_;  // finite driver queue
       metrics_.pacer_drops.inc();
       record_flight(events_, p, obs::FlightEventType::kDropped,
@@ -142,15 +169,15 @@ void Host::send(PacketHandle h) {
       events_.pool().free(h);
       return;
     }
-    dq.bytes += p.wire_bytes;
-    dq.q.push_back(h);
-    schedule_release(vm);
+    dq->bytes += p.wire_bytes;
+    dq->q.push_back({h, p.wire_bytes});
+    schedule_release(static_cast<std::uint32_t>(v - paced_.data()));
     return;
   }
-  hand_to_nic(h, events_.now());
+  hand_to_nic(h, p.wire_bytes, events_.now());
 }
 
-void Host::hand_to_nic(PacketHandle h, TimeNs release) {
+void Host::hand_to_nic(PacketHandle h, Bytes wire_bytes, TimeNs release) {
   if (release > events_.now()) metrics_.throttled.inc();
   if (obs::FlightRecorder* r = events_.flight_recorder()) {
     const Packet& p = events_.pool().get(h);
@@ -166,19 +193,18 @@ void Host::hand_to_nic(PacketHandle h, TimeNs release) {
     r->record(e);
   }
   // The NIC slot id *is* the packet handle — no side map needed.
-  nic_.enqueue(release, events_.pool().get(h).wire_bytes, h);
+  nic_.enqueue(release, wire_bytes, h);
   kick();
 }
 
-void Host::schedule_release(int vm) {
-  auto& v = tx_[vm];
-  auto* pacer = pacers_.at(vm);
+void Host::schedule_release(std::uint32_t index) {
+  PacedVm& v = paced_[index];
   // Earliest conformance over the head packets of all destination queues.
   TimeNs best {-1};
-  for (auto& [dst, dq] : v.dests) {
+  for (const DestQueue& dq : v.dests) {
     if (dq.q.empty()) continue;
-    const TimeNs t = pacer->peek(events_.now(), dst,
-                                 events_.pool().get(dq.q.front()).wire_bytes);
+    const TimeNs t =
+        v.pacer->peek(events_.now(), *dq.bucket, dq.q.front().wire_bytes);
     if (best < TimeNs{0} || t < best) best = t;
   }
   if (best < TimeNs{0}) return;  // all queues empty
@@ -189,65 +215,59 @@ void Host::schedule_release(int vm) {
   v.release_scheduled = true;
   v.scheduled_at = when;
   const std::uint64_t gen = ++v.generation;
-  events_.schedule(when, EventKind::kHostRelease, this,
-                   static_cast<std::uint32_t>(vm), gen);
+  events_.schedule(when, EventKind::kHostRelease, this, index, gen);
 }
 
-void Host::handle_release(int vm, std::uint64_t generation) {
-  auto& v = tx_[vm];
+void Host::handle_release(std::uint32_t index, std::uint64_t generation) {
+  PacedVm& v = paced_[index];
   if (generation != v.generation || !v.release_scheduled) return;
   v.release_scheduled = false;
-  auto* pacer = pacers_.at(vm);
   // Re-derive the winner at release time (arrivals may have changed it).
   // Backlogged destinations tie on the shared-bucket conformance time, so
   // ties rotate round-robin after the last served destination — a strict
   // "<" would let the lowest id starve every other queue.
   TimeNs best {-1};
-  int best_dst = -1;
-  for (auto& [dst, dq] : v.dests) {
+  DestQueue* winner = nullptr;
+  for (DestQueue& dq : v.dests) {
     if (dq.q.empty()) continue;
-    const TimeNs t = pacer->peek(events_.now(), dst,
-                                 events_.pool().get(dq.q.front()).wire_bytes);
-    const bool wins =
-        best < TimeNs{0} || t < best ||
-        (t == best && best_dst <= v.last_served && dst > v.last_served);
+    const TimeNs t =
+        v.pacer->peek(events_.now(), *dq.bucket, dq.q.front().wire_bytes);
+    const bool wins = winner == nullptr || t < best ||
+                      (t == best && winner->dst <= v.last_served &&
+                       dq.dst > v.last_served);
     if (wins) {
       best = t;
-      best_dst = dst;
+      winner = &dq;
     }
   }
-  if (best_dst < 0) return;
-  v.last_served = best_dst;
+  if (winner == nullptr) return;
+  v.last_served = winner->dst;
   // Release packets whose conformance falls within one NIC batch window —
   // the lookahead Paced IO Batching needs to build void-filled batches.
   // The shared-bucket cross-charging this allows is bounded by one window
   // of bytes, which is negligible skew.
   if (best > events_.now() + nic_.batch_window()) {
-    schedule_release(vm);
+    schedule_release(index);
     return;
   }
-  auto& dq = v.dests[best_dst];
-  const PacketHandle h = dq.q.front();
-  dq.q.pop_front();
-  dq.bytes -= events_.pool().get(h).wire_bytes;
+  const Queued e = winner->q.front();
+  winner->q.pop_front();
+  winner->bytes -= e.wire_bytes;
   const TimeNs release =
-      pacer->stamp(events_.now(), best_dst, events_.pool().get(h).wire_bytes);
-  hand_to_nic(h, release);
-  schedule_release(vm);
+      v.pacer->stamp(events_.now(), *winner->bucket, e.wire_bytes);
+  hand_to_nic(e.handle, e.wire_bytes, release);
+  schedule_release(index);
 }
 
 TimeNs Host::pacer_delay(TimeNs now, int src_vm, int dst_vm, Bytes bytes) {
-  auto it = pacers_.find(src_vm);
-  if (it == pacers_.end()) return TimeNs{0};
-  const TimeNs head_wait = it->second->peek(now, dst_vm, bytes) - now;
-  auto vt = tx_.find(src_vm);
-  if (vt == tx_.end()) return head_wait;
-  auto dt = vt->second.dests.find(dst_vm);
-  if (dt == vt->second.dests.end()) return head_wait;
+  PacedVm* v = find_paced(src_vm);
+  if (v == nullptr) return TimeNs{0};
+  const TimeNs head_wait = v->pacer->peek(now, dst_vm, bytes) - now;
+  const auto dq = lower_dest(*v, dst_vm);
+  if (dq == v->dests.end() || dq->dst != dst_vm) return head_wait;
   // Queued bytes drain at (at least) the VM's hose rate.
-  const double drain =
-      static_cast<double>(dt->second.bytes + bytes) * 8e9 /
-      it->second->guarantee().bandwidth.bps();
+  const double drain = static_cast<double>(dq->bytes + bytes) * 8e9 /
+                       v->pacer->guarantee().bandwidth.bps();
   return head_wait + static_cast<TimeNs>(drain);
 }
 
@@ -287,12 +307,10 @@ void Host::run_batch() {
     // Emit -> wire start: pacing delay for paced VMs (token wait + batch
     // alignment), sender-NIC queueing for unpaced ones. Wire start -> end
     // is the NIC's serialization time.
-    const bool paced = pacers_.count(events_.pool().get(h).src_vm) > 0;
-    events_.timeline().advance(
-        PacketPool::slot_of(h), slot.start,
-        paced ? obs::Stage::kPacing : obs::Stage::kQueueing);
-    events_.timeline().advance(PacketPool::slot_of(h), slot.end,
-                               obs::Stage::kSerialization);
+    const bool paced = find_paced(events_.pool().get(h).src_vm) != nullptr;
+    obs::PacketStages& st = events_.pool().stages(h);
+    st.advance(slot.start, paced ? obs::Stage::kPacing : obs::Stage::kQueueing);
+    st.advance(slot.end, obs::Stage::kSerialization);
     events_.schedule(slot.end + cfg_.tor_link_delay, EventKind::kHostIngress,
                      this, h);
   }
@@ -307,8 +325,7 @@ void Host::handle_batch_end() {
 
 void Host::handle_ingress(PacketHandle h) {
   // Server -> ToR propagation is wire time.
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kSerialization);
+  events_.pool().stages(h).advance(events_.now(), obs::Stage::kSerialization);
   if (!up_) {
     // The server died after this frame was scheduled onto the wire.
     drop_faulted(h);

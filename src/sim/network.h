@@ -8,7 +8,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -130,10 +129,8 @@ class Host {
   std::int64_t fault_drops() const { return fault_drops_; }
 
   /// Register the pacer enforcing a hosted VM's guarantees (Silo/Oktopus
-  /// schemes). Unpaced VMs simply have no entry.
-  void attach_pacer(int global_vm, pacer::VmPacer* pacer) {
-    pacers_[global_vm] = pacer;
-  }
+  /// schemes). Unpaced VMs simply have no entry. Once per VM.
+  void attach_pacer(int global_vm, pacer::VmPacer* pacer);
 
   /// Hypervisor side of the incremental config protocol: fold a controller
   /// delta into this server's applied pacer-config table.
@@ -177,26 +174,42 @@ class Host {
   // single scheduler releases them in conformance order — charging the
   // shared {B, S} bucket in *release* order keeps it work-conserving
   // across destinations (per-flow future stamping would serialize them).
+  // Everything a scheduling pass reads sits in flat arrays: the queue
+  // header caches the pacer's bucket toward its destination and each entry
+  // its packet's wire bytes, so a pass neither looks anything up nor reads
+  // a queued packet.
+  struct Queued {
+    PacketHandle handle;
+    Bytes wire_bytes;
+  };
   struct DestQueue {
-    std::deque<PacketHandle> q;
+    int dst = -1;
+    pacer::TokenBucket* bucket = nullptr;  ///< the pacer's bucket toward dst
+    std::deque<Queued> q;
     Bytes bytes {};
   };
-  struct VmTx {
-    std::map<int, DestQueue> dests;
+  struct PacedVm {
+    int vm = -1;
+    pacer::VmPacer* pacer = nullptr;
+    std::vector<DestQueue> dests;  ///< ascending dst: round-robin order
     bool release_scheduled = false;
     TimeNs scheduled_at {};
     std::uint64_t generation = 0;
     int last_served = -1;  ///< round-robin position for conformance ties
   };
 
+  /// The paced VM `vm`, or null when it is unpaced.
+  PacedVm* find_paced(int vm);
+  /// The first of `v`'s queues whose destination is not below `dst`.
+  static std::vector<DestQueue>::iterator lower_dest(PacedVm& v, int dst);
   void kick();
   void run_batch();
-  void schedule_release(int vm);
-  void handle_release(int vm, std::uint64_t generation);
+  void schedule_release(std::uint32_t index);
+  void handle_release(std::uint32_t index, std::uint64_t generation);
   void handle_build(std::uint64_t generation);
   void handle_batch_end();
   void handle_ingress(PacketHandle h);
-  void hand_to_nic(PacketHandle h, TimeNs release);
+  void hand_to_nic(PacketHandle h, Bytes wire_bytes, TimeNs release);
 
   EventQueue& events_;
   Fabric& fabric_;
@@ -204,8 +217,9 @@ class Host {
   Config cfg_;
   pacer::PacedNic nic_;
   std::unique_ptr<SwitchPortSim> loopback_;
-  std::map<int, pacer::VmPacer*> pacers_;
-  std::map<int, VmTx> tx_;
+  /// One entry per paced VM hosted here (at most one per VM slot); a
+  /// kHostRelease event names its entry by index.
+  std::vector<PacedVm> paced_;
   std::int64_t pacer_drops_ = 0;
   std::int64_t fault_drops_ = 0;
   HostMetricHooks metrics_;

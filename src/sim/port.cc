@@ -45,15 +45,16 @@ void SwitchPortSim::enqueue_pfabric(PacketHandle h) {
       pool.free(h);
       return;
     }
-    const auto worst =
-        pfabric_queue_.lower_bound(PfEntry{worst_remaining, 0, kNullPacket});
-    queued_bytes_ -= pool.get(worst->handle).wire_bytes;
-    audit_leave(pool.get(worst->handle).wire_bytes);
+    const auto worst = pfabric_queue_.lower_bound(
+        PfEntry{worst_remaining, 0, {kNullPacket, 0}});
+    const Bytes worst_bytes{worst->packet.wire_bytes};
+    queued_bytes_ -= worst_bytes;
+    audit_leave(worst_bytes);
     ++stats_.drops;
     metrics_.drops.inc();
-    record_flight(events_, pool.get(worst->handle),
+    record_flight(events_, pool.get(worst->packet.handle),
                   obs::FlightEventType::kDropped, location_);
-    pool.free(worst->handle);
+    pool.free(worst->packet.handle);
     pfabric_queue_.erase(worst);
   }
   if (queued_bytes_ + p.wire_bytes > cfg_.buffer) {
@@ -69,7 +70,9 @@ void SwitchPortSim::enqueue_pfabric(PacketHandle h) {
   metrics_.peak_queue_bytes.set_max(queued_bytes_.count());
   metrics_.queue_bytes.record(static_cast<double>(queued_bytes_));
   record_flight(events_, p, obs::FlightEventType::kEnqueued, location_);
-  pfabric_queue_.insert(PfEntry{p.remaining, pfabric_arrivals_++, h});
+  pfabric_queue_.insert(
+      PfEntry{p.remaining, pfabric_arrivals_++,
+              {h, static_cast<std::uint32_t>(p.wire_bytes.count())}});
   if (!busy_) start_tx();
 }
 
@@ -88,25 +91,19 @@ void SwitchPortSim::set_link_up(bool up) {
 
 void SwitchPortSim::flush_queues() {
   PacketPool& pool = events_.pool();
-  for (auto& q : queue_) {
-    for (const PacketHandle h : q) {
-      ++stats_.fault_drops;
-      metrics_.fault_drops.inc();
-      audit_leave(pool.get(h).wire_bytes);
-      record_flight(events_, pool.get(h), obs::FlightEventType::kDropped,
-                    location_, /*fault=*/true);
-      pool.free(h);
-    }
-    q.clear();
-  }
-  for (const auto& e : pfabric_queue_) {
+  const auto drop = [&](const Queued& e) {
     ++stats_.fault_drops;
     metrics_.fault_drops.inc();
-    audit_leave(pool.get(e.handle).wire_bytes);
+    audit_leave(Bytes{e.wire_bytes});
     record_flight(events_, pool.get(e.handle), obs::FlightEventType::kDropped,
                   location_, /*fault=*/true);
     pool.free(e.handle);
+  };
+  for (auto& q : queue_) {
+    for (const Queued& e : q) drop(e);
+    q.clear();
   }
+  for (const auto& e : pfabric_queue_) drop(e.packet);
   pfabric_queue_.clear();
   queued_bytes_ = Bytes{0};
 }
@@ -147,43 +144,46 @@ void SwitchPortSim::enqueue(PacketHandle h) {
   metrics_.peak_queue_bytes.set_max(queued_bytes_.count());
   metrics_.queue_bytes.record(static_cast<double>(queued_bytes_));
   record_flight(events_, p, obs::FlightEventType::kEnqueued, location_);
-  queue_[static_cast<int>(p.priority)].push_back(h);
+  queue_[static_cast<int>(p.priority)].push_back(
+      {h, static_cast<std::uint32_t>(p.wire_bytes.count())});
   if (!busy_) start_tx();
 }
 
-PacketHandle SwitchPortSim::dequeue_next() {
+SwitchPortSim::Queued SwitchPortSim::dequeue_next() {
   if (cfg_.pfabric) {
-    if (pfabric_queue_.empty()) return kNullPacket;
+    if (pfabric_queue_.empty()) return {kNullPacket, 0};
     // Head of the set: fewest remaining bytes, earliest arrival among ties.
     const auto best = pfabric_queue_.begin();
-    const PacketHandle h = best->handle;
+    const Queued e = best->packet;
     pfabric_queue_.erase(best);
-    return h;
+    return e;
   }
   auto& q = !queue_[0].empty() ? queue_[0] : queue_[1];
-  if (q.empty()) return kNullPacket;
-  const PacketHandle h = q.front();
+  if (q.empty()) return {kNullPacket, 0};
+  const Queued e = q.front();
   q.pop_front();
-  return h;
+  return e;
 }
 
 void SwitchPortSim::start_tx() {
-  const PacketHandle h = dequeue_next();
-  if (h == kNullPacket) {
+  const Queued e = dequeue_next();
+  if (e.handle == kNullPacket) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  const Packet& p = events_.pool().get(h);
-  queued_bytes_ -= p.wire_bytes;
-  audit_leave(p.wire_bytes);
+  tx_start_ = events_.now();
+  tx_bytes_ = Bytes{e.wire_bytes};
+  queued_bytes_ -= tx_bytes_;
+  audit_leave(tx_bytes_);
   audit_conserved();
-  // Everything since the port accepted the packet was queue wait.
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kQueueing);
-  record_flight(events_, p, obs::FlightEventType::kDequeued, location_);
-  const TimeNs tx = transmission_time(p.wire_bytes + kEthOverhead, cfg_.rate);
-  events_.schedule_after(tx, EventKind::kPortTxDone, this, h);
+  if (events_.flight_recorder())  // else leave the packet's lines cold
+    record_flight(events_, events_.pool().get(e.handle),
+                  obs::FlightEventType::kDequeued, location_);
+  const TimeNs tx = transmission_time(tx_bytes_ + kEthOverhead, cfg_.rate);
+  events_.schedule_after(tx, EventKind::kPortTxDone, this, e.handle);
+  // Tx-done is the packet's next touch; its slot has gone cold in queue.
+  events_.pool().prefetch(e.handle);
 }
 
 void SwitchPortSim::handle_tx_done(PacketHandle h) {
@@ -198,11 +198,14 @@ void SwitchPortSim::handle_tx_done(PacketHandle h) {
     return;
   }
   ++stats_.tx_packets;
-  stats_.tx_bytes += events_.pool().get(h).wire_bytes.count();
+  stats_.tx_bytes += tx_bytes_.count();
   metrics_.tx_packets.inc();
-  metrics_.tx_bytes.inc(events_.pool().get(h).wire_bytes.count());
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kSerialization);
+  metrics_.tx_bytes.inc(tx_bytes_.count());
+  // Everything from acceptance to tx start was queue wait, the rest wire
+  // time (see tx_start_).
+  obs::PacketStages& st = events_.pool().stages(h);
+  st.advance(tx_start_, obs::Stage::kQueueing);
+  st.advance(events_.now(), obs::Stage::kSerialization);
   // Cross-island egress: if a handoff hook claims the packet, it leaves
   // this island here and re-enters the destination island's queue at the
   // same absolute time a local kPortDeliver would have fired.
@@ -219,8 +222,7 @@ void SwitchPortSim::handle_tx_done(PacketHandle h) {
 
 void SwitchPortSim::handle_deliver(PacketHandle h) {
   // Charge the propagation delay to serialization (wire time, not queue).
-  events_.timeline().advance(PacketPool::slot_of(h), events_.now(),
-                             obs::Stage::kSerialization);
+  events_.pool().stages(h).advance(events_.now(), obs::Stage::kSerialization);
   deliver_(h);  // ownership moves to the next hop
 }
 

@@ -8,7 +8,9 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -101,7 +103,12 @@ class SwitchPortSim {
   using DeliverFn = std::function<void(PacketHandle)>;
 
   SwitchPortSim(EventQueue& events, PortConfig cfg, DeliverFn deliver)
-      : events_(events), cfg_(cfg), deliver_(std::move(deliver)) {}
+      : events_(events), cfg_(cfg), deliver_(std::move(deliver)) {
+    // Queue entries hold an accepted packet's wire bytes (<= buffer) in
+    // 32 bits.
+    if (cfg_.buffer > Bytes{std::numeric_limits<std::uint32_t>::max()})
+      throw std::invalid_argument("SwitchPortSim: buffer exceeds 4 GiB");
+  }
 
   /// Queue a packet for transmission; drops (and frees) when the buffer is
   /// full. Takes ownership of the handle.
@@ -137,13 +144,20 @@ class SwitchPortSim {
  private:
   friend class EventQueue;  ///< typed-event dispatch
 
+  /// A queued packet with its wire bytes, so starting a transmission
+  /// needs no read of the (by then cold) packet.
+  struct Queued {
+    PacketHandle handle;
+    std::uint32_t wire_bytes;
+  };
+
   /// pFabric queue entry: ordered by (remaining, arrival) so the head is
   /// the most urgent packet (earliest arrival among ties) and the largest
   /// remaining value is at the back — both O(log n).
   struct PfEntry {
     std::int64_t remaining;
     std::uint64_t arrival;
-    PacketHandle handle;
+    Queued packet;
     bool operator<(const PfEntry& o) const {
       return remaining != o.remaining ? remaining < o.remaining
                                       : arrival < o.arrival;
@@ -173,17 +187,23 @@ class SwitchPortSim {
   void handle_tx_done(PacketHandle h);
   void handle_deliver(PacketHandle h);
   void enqueue_pfabric(PacketHandle h);
-  PacketHandle dequeue_next();
+  Queued dequeue_next();
   void flush_queues();
 
   EventQueue& events_;
   PortConfig cfg_;
   DeliverFn deliver_;
-  std::deque<PacketHandle> queue_[2];  ///< [0]=guaranteed, [1]=best effort
+  std::deque<Queued> queue_[2];  ///< [0]=guaranteed, [1]=best effort
   std::set<PfEntry> pfabric_queue_;
   std::uint64_t pfabric_arrivals_ = 0;
   Bytes queued_bytes_ {};
   bool busy_ = false;
+  // The packet on the wire: its tx start and wire bytes. Tx-done charges
+  // its queueing (to tx_start_) and serialization (to now) segments at
+  // once, which is exact because nothing else advances a packet's stages
+  // while it is on the wire.
+  TimeNs tx_start_ {};
+  Bytes tx_bytes_ {};
   bool link_up_ = true;
   double loss_rate_ = 0;
   Rng* loss_rng_ = nullptr;

@@ -74,8 +74,7 @@ void TcpFlow::emit_segment(std::int64_t seq, Bytes len, bool retransmit) {
   p.remaining = stream_end_ - seq;  // pFabric urgency
   metrics_.segments.inc();
   if (retransmit) metrics_.retransmits.inc();
-  events_.timeline().on_emit(PacketPool::slot_of(h), events_.now(),
-                              retransmit);
+  events_.pool().stages(h).on_emit(events_.now(), retransmit);
   send_data_(h);
 }
 
@@ -93,7 +92,12 @@ void TcpFlow::handle_data(const Packet& p) {
   // alloc below can grow the arena and invalidate the reference.
   const bool ecn_echo = p.ecn_marked;
   const TimeNs data_ts = p.enqueue_time;
-  if (end > rcv_next_) {
+  if (end > rcv_next_ && start <= rcv_next_ && ooo_.empty()) {
+    // In order with nothing buffered: what the reassembly map below would
+    // do in one insert and erase.
+    rcv_next_ = end;
+    if (on_delivery_) on_delivery_(rcv_next_);
+  } else if (end > rcv_next_) {
     // Merge [start, end) into the reassembly map.
     auto [it, inserted] = ooo_.emplace(start, end);
     if (!inserted) it->second = std::max(it->second, end);
@@ -135,9 +139,8 @@ void TcpFlow::handle_data(const Packet& p) {
   ack.ecn_echo = ecn_echo;
   ack.enqueue_time = data_ts;
   ack.priority = priority_;
-  // Reset the recycled handle's stage entry so the ACK never inherits the
-  // previous occupant's timeline (ACK stages are tracked but unused).
-  events_.timeline().on_emit(PacketPool::slot_of(ah), events_.now(), false);
+  // ACK stages are tracked but unused.
+  events_.pool().stages(ah).on_emit(events_.now(), false);
   send_ack_(ah);
 }
 

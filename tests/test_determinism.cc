@@ -8,11 +8,16 @@
 // changes: same-time ties must keep breaking by insertion sequence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "sim/cluster.h"
+#include "sim/delivery_trace.h"
 #include "sim/packet_pool.h"
+#include "util/rng.h"
 #include "workload/drivers.h"
 #include "workload/patterns.h"
 
@@ -176,10 +181,10 @@ TEST(PacketPool, SteadyStateIsAllocationFree) {
 }
 
 // Same invariant with the observability layer fully enabled: the metrics
-// registry (always wired), the packet-timeline side table, and a flight
+// registry (always wired), the per-packet stage records, and a flight
 // recorder capturing every event. All of it must ride the warm arena —
-// recording is a POD store into a preallocated ring and the timeline only
-// grows when the pool grows, so steady state stays allocation-free.
+// recording is a POD store into a preallocated ring and the stage records
+// live in the pool's own slots, so steady state stays allocation-free.
 TEST(PacketPool, SteadyStateAllocationFreeWithObservability) {
   sim::ClusterConfig cfg;
   cfg.topo.pods = 1;
@@ -205,15 +210,13 @@ TEST(PacketPool, SteadyStateAllocationFreeWithObservability) {
   cluster.run_until(50 * kMsec);
   const auto& pool = cluster.events().pool();
   const std::size_t warm_capacity = pool.capacity();
-  const std::size_t warm_timeline = cluster.events().timeline().capacity();
   const std::int64_t warm_allocs = pool.total_allocs();
   const std::uint64_t warm_recorded = rec.total_recorded();
 
   cluster.run_until(200 * kMsec);
 
-  // Neither the arena nor the attribution side table grew post-warmup.
+  // The arena (and with it every stage record) did not grow post-warmup.
   EXPECT_EQ(pool.capacity(), warm_capacity);
-  EXPECT_EQ(cluster.events().timeline().capacity(), warm_timeline);
   EXPECT_GT(pool.total_allocs(), 2 * warm_allocs);
   // The recorder kept recording (ring overwrites, never grows).
   EXPECT_GT(rec.total_recorded(), warm_recorded);
@@ -238,6 +241,83 @@ TEST(PacketPool, DoubleFreeThrows) {
   pool.free(h2);
   EXPECT_EQ(pool.total_allocs(), pool.total_frees());
   EXPECT_EQ(pool.live(), 0);
+}
+
+// A recycled slot must not keep its last occupant's stage record: a packet
+// allocated without an emit (hand-built clones, the ring bench) would
+// otherwise be charged against the dead packet's segments.
+TEST(PacketPool, RecycledSlotStartsUntracked) {
+  sim::PacketPool pool;
+  const auto h = pool.alloc();
+  EXPECT_FALSE(pool.stages(h).tracked);
+  pool.stages(h).on_emit(TimeNs{100}, /*is_retransmit=*/true);
+  pool.stages(h).advance(TimeNs{250}, obs::Stage::kQueueing);
+  ASSERT_TRUE(pool.stages(h).tracked);
+  ASSERT_EQ(pool.stages(h).queue_ns, TimeNs{150});
+  pool.free(h);
+
+  const auto h2 = pool.alloc();
+  ASSERT_EQ(sim::PacketPool::slot_of(h2), sim::PacketPool::slot_of(h));
+  EXPECT_FALSE(pool.stages(h2).tracked);
+  EXPECT_FALSE(pool.stages(h2).retransmit);
+  EXPECT_EQ(pool.stages(h2).queue_ns, TimeNs{0});
+  pool.stages(h2).advance(TimeNs{400}, obs::Stage::kSerialization);
+  EXPECT_EQ(pool.stages(h2).serial_ns, TimeNs{0});  // untracked: no charge
+  pool.stages(h2).on_emit(TimeNs{500}, false);
+  pool.free(h2);
+
+  sim::Packet p;
+  p.id = 7;
+  const auto h3 = pool.clone(p);
+  ASSERT_EQ(sim::PacketPool::slot_of(h3), sim::PacketPool::slot_of(h));
+  EXPECT_EQ(pool.get(h3).id, 7u);
+  EXPECT_FALSE(pool.stages(h3).tracked);
+  pool.free(h3);
+}
+
+// The canonical checksum merges per-island traces by time; it must equal
+// the fold of a full sort of their union. Three traces with dense
+// equal-time groups that span traces (and duplicates).
+TEST(DeliveryTrace, MergedChecksumEqualsFullSort) {
+  Rng rng(20261017);
+  std::vector<sim::DeliveryTrace> traces(3);
+  std::vector<sim::DeliveryRecord> all;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    std::int64_t at = 0;
+    const int count = 2000 + 700 * static_cast<int>(i);
+    for (int n = 0; n < count; ++n) {
+      at += rng.uniform_int(0, 2) == 0 ? rng.uniform_int(1, 40) : 0;
+      const sim::DeliveryRecord r{
+          at,
+          static_cast<std::int32_t>(rng.uniform_int(0, 5)),
+          static_cast<std::int32_t>(rng.uniform_int(0, 5)),
+          rng.uniform_int(0, 3) * 1460,
+          rng.uniform_int(0, 3) * 1460,
+          static_cast<std::int32_t>(rng.uniform_int(0, 1) * 1460),
+          static_cast<std::uint32_t>(rng.uniform_int(0, 15))};
+      traces[i].push_back(r);
+      all.push_back(r);
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const sim::DeliveryRecord& a, const sim::DeliveryRecord& b) {
+              return std::tie(a.at_ns, a.src_vm, a.dst_vm, a.seq, a.ack_seq,
+                              a.payload, a.flags) <
+                     std::tie(b.at_ns, b.src_vm, b.dst_vm, b.seq, b.ack_seq,
+                              b.payload, b.flags);
+            });
+  std::uint64_t want = sim::kFnvSeed;
+  for (const auto& r : all) want = sim::fold_record(want, r);
+
+  const std::vector<const sim::DeliveryTrace*> ptrs = {&traces[0], &traces[1],
+                                                       &traces[2]};
+  EXPECT_EQ(sim::canonical_trace_checksum(ptrs), want);
+  // Island order and islands that recorded nothing are irrelevant to the
+  // canonical order.
+  const sim::DeliveryTrace none;
+  const std::vector<const sim::DeliveryTrace*> rev = {&traces[2], &none,
+                                                      &traces[0], &traces[1]};
+  EXPECT_EQ(sim::canonical_trace_checksum(rev), want);
 }
 
 }  // namespace

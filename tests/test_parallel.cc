@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -368,6 +369,80 @@ TEST(ParallelDeterminism, ZeroLatencyFabricRunsToCompletion) {
   ASSERT_GT(seq.second, 100);
   EXPECT_EQ(par.first, seq.first);
   EXPECT_EQ(par.second, seq.second);
+}
+
+// Identical rack-local tenants that start at the same instant: every
+// island delivers at the same instants, so the canonical checksum's
+// equal-time groups span islands, and every island records over a
+// thousand deliveries (many deque blocks). Sequential and islands runs at
+// any thread count agree on the canonical checksum and size, and a
+// run_until sliced at an odd step reproduces the one-shot island checksum.
+TEST(ParallelDeterminism, SymmetricRacksAgreeOnDeliveryTrace) {
+  struct Result {
+    std::uint64_t canonical = 0;
+    std::uint64_t island = 0;
+    std::int64_t size = 0;
+  };
+  // threads as in run_flap_scenario; slice 0 runs in one shot.
+  const auto run = [](int threads, TimeNs slice) {
+    sim::ClusterConfig cfg;
+    cfg.topo = two_pod_topo();
+    cfg.scheme = sim::Scheme::kTcp;
+    cfg.parallel.enabled = threads >= 0;
+    sim::ClusterSim cluster(cfg);
+    std::unique_ptr<par::ThreadPoolExecutor> pool;
+    if (threads >= 1) {
+      pool = std::make_unique<par::ThreadPoolExecutor>(threads);
+      cluster.set_island_executor(pool.get());
+    }
+    cluster.enable_delivery_trace();
+    TenantRequest r;
+    r.num_vms = 2;
+    r.tenant_class = TenantClass::kBandwidthOnly;
+    r.guarantee = {RateBps{1e9}, Bytes{1500}, TimeNs{0}, RateBps{1e9}};
+    const int racks = cfg.topo.pods * cfg.topo.racks_per_pod;
+    std::vector<int> tenants;
+    for (int rack = 0; rack < racks; ++rack) {
+      const int s0 = rack * cfg.topo.servers_per_rack;
+      tenants.push_back(cluster.add_tenant_pinned(r, {s0, s0 + 1}));
+    }
+    std::vector<std::unique_ptr<workload::BulkDriver>> drivers;
+    for (const int t : tenants) {
+      drivers.push_back(std::make_unique<workload::BulkDriver>(
+          cluster, t, workload::all_to_all(2), 64 * kKB, 7));
+      drivers.back()->start(3 * kMsec);
+    }
+    const TimeNs horizon = 4 * kMsec;
+    if (slice > TimeNs{0}) {
+      for (TimeNs t = slice; t < horizon; t = t + slice) cluster.run_until(t);
+    }
+    cluster.run_until(horizon);
+    if (threads >= 0) {
+      EXPECT_EQ(cluster.num_islands(), racks);
+      const sim::DeliveryTrace& first = cluster.island_trace(0);
+      for (int i = 0; i < cluster.num_islands(); ++i) {
+        const sim::DeliveryTrace& t = cluster.island_trace(i);
+        EXPECT_GE(t.size(), 1000u) << i;
+        if (t.empty() || first.empty()) continue;  // failed just above
+        EXPECT_EQ(t.front().at_ns, first.front().at_ns) << i;
+      }
+    }
+    return Result{cluster.delivery_trace_checksum(),
+                  cluster.island_trace_checksum(),
+                  cluster.delivery_trace_size()};
+  };
+  const Result seq = run(-1, TimeNs{0});
+  ASSERT_GT(seq.size, 4000);
+  for (const int threads : {0, 1, 2, 4}) {
+    const Result par = run(threads, TimeNs{0});
+    EXPECT_EQ(par.canonical, seq.canonical) << threads;
+    EXPECT_EQ(par.size, seq.size) << threads;
+  }
+  const Result one_shot = run(2, TimeNs{0});
+  const Result sliced = run(2, TimeNs{37'013});
+  EXPECT_EQ(sliced.island, one_shot.island);
+  EXPECT_EQ(sliced.canonical, seq.canonical);
+  EXPECT_EQ(sliced.size, seq.size);
 }
 
 // Sequential-only surfaces must refuse loudly in parallel mode instead of

@@ -6,6 +6,7 @@
 #include "sim/network.h"
 #include "sim/port.h"
 #include "sim/transport.h"
+#include "util/rng.h"
 
 namespace silo::sim {
 namespace {
@@ -125,6 +126,68 @@ TEST(EventQueue, InterleavedNearAndFarEvents) {
   EXPECT_EQ(ev.processed(), 5004u);
 }
 
+// Thousands of seeded events packed into three ticks per region, so every
+// level-0 slot holds hundreds of them (far past std::sort's insertion
+// cutoff). Region 0 is in the cursor's group and lands in level 0
+// directly; region 1 waits in level 1 and cascades; region 2 waits in the
+// overflow heap, drains into level 1 and cascades. Events also schedule
+// more events into their own tick (the due run), later ticks and later
+// regions while they fire.
+struct DenseSlots {
+  static constexpr std::int64_t kGroup = 1 << 16;      // ns per level-0 span
+  static constexpr std::int64_t kSuper = 1 << 24;      // ns per level-1 span
+  static constexpr std::int64_t kSpan = 3 * 256;       // three ticks
+  static constexpr std::int64_t kRegion[3] = {
+      256, 7 * kGroup + 5 * 256, 3 * kSuper + 2 * kGroup + 9 * 256};
+
+  EventQueue ev;
+  Rng rng{20261017};
+  std::vector<TimeNs> time_of;  ///< by insertion index
+  std::vector<std::uint32_t> fired;
+  int reentrant_budget = 3000;
+
+  void add(TimeNs t) {
+    const auto i = static_cast<std::uint32_t>(time_of.size());
+    time_of.push_back(t);
+    ev.raw_at(t, &DenseSlots::fire, this, i);
+  }
+  /// A seeded time in region r no earlier than now, if any remain.
+  void add_in(int r) {
+    const std::int64_t lo = std::max(kRegion[r], ev.now().count());
+    const std::int64_t hi = kRegion[r] + kSpan - 1;
+    if (lo <= hi) add(TimeNs{rng.uniform_int(lo, hi)});
+  }
+  static void fire(void* self, std::uint32_t i) {
+    auto& d = *static_cast<DenseSlots*>(self);
+    EXPECT_EQ(d.ev.now(), d.time_of[i]);
+    d.fired.push_back(i);
+    if (i % 3 != 0 || d.reentrant_budget <= 0) return;
+    --d.reentrant_budget;
+    // The current region's remaining ticks, then every later region.
+    for (int r = 0; r < 3; ++r)
+      if (d.time_of[i].count() < kRegion[r] + kSpan) d.add_in(r);
+    d.add(d.ev.now());  // joins the due run itself
+  }
+};
+
+// The fired order must be a stable sort of everything scheduled by
+// (time, insertion index).
+TEST(EventQueue, DenseSlotsMatchReferenceOrder) {
+  DenseSlots d;
+  for (int n = 0; n < 6000; ++n) d.add_in(n % 3);
+  d.ev.run_all();
+
+  std::vector<std::uint32_t> want(d.time_of.size());
+  for (std::uint32_t i = 0; i < want.size(); ++i) want[i] = i;
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return d.time_of[a] < d.time_of[b];
+                   });
+  EXPECT_GT(d.time_of.size(), 9000u);
+  EXPECT_EQ(d.reentrant_budget, 0);
+  EXPECT_EQ(d.fired, want);
+}
+
 PortConfig port_10g() {
   PortConfig cfg;
   cfg.rate = 10 * kGbps;
@@ -140,6 +203,32 @@ Packet data_packet(std::uint64_t id, Bytes payload = Bytes{1460}) {
   p.payload = payload;
   p.wire_bytes = payload + kHeaderBytes;
   return p;
+}
+
+// Stage charging at a port: each packet waits in queue behind the ones
+// ahead of it, then spends its serialization plus the link delay on the
+// wire. Tx-done charges the queue wait and the wire time together.
+TEST(SwitchPort, ChargesQueueWaitThenWireTime) {
+  EventQueue ev;
+  std::vector<obs::PacketStages> seen;
+  SwitchPortSim port(ev, port_10g(), [&](PacketHandle h) {
+    seen.push_back(ev.pool().stages(h));
+    ev.pool().free(h);
+  });
+  for (int i = 0; i < 3; ++i) {
+    const PacketHandle h = ev.pool().clone(data_packet(i));
+    ev.pool().stages(h).on_emit(ev.now(), false);
+    port.enqueue(h);
+  }
+  ev.run_all();
+  const TimeNs tx = transmission_time(Bytes{1500} + kEthOverhead, 10 * kGbps);
+  ASSERT_EQ(seen.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(seen[i].pacing_ns, TimeNs{0}) << i;
+    EXPECT_EQ(seen[i].queue_ns, i * tx) << i;
+    EXPECT_EQ(seen[i].serial_ns, tx + TimeNs{500}) << i;
+    EXPECT_EQ(seen[i].mark, (i + 1) * tx + TimeNs{500}) << i;
+  }
 }
 
 TEST(SwitchPort, TransmitsAtLineRate) {
