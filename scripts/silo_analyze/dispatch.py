@@ -75,6 +75,11 @@ SWITCH_SITES = [
         "Kind", "src/sim/faults.h",
         "FaultInjector::execute", "src/sim/faults.cc",
         "an unexecuted fault action makes a chaos schedule a no-op"),
+    SwitchSite(
+        "Kind", "src/sim/control_channel.h",
+        "ControlChannel::on_message", "src/sim/control_channel.cc",
+        "an undispatched channel message silently loses a delivery, ack "
+        "or timer"),
 ]
 
 _KEYED = ("keyed entries: the journal encodes and digests each one on "
@@ -113,6 +118,11 @@ FIELD_SITES = [
         "fnv_mix_record", "src/pacer/pacer_config.h",
         "a config field outside the checksum escapes the delta-vs-snapshot "
         "goldens"),
+    FieldSite(
+        "PacerConfigRecord", "src/pacer/pacer_config.h",
+        "same_record", "src/pacer/pacer_config.h",
+        "a config field outside the exact comparison lets "
+        "ControlChannel::converged() call a desynced agent converged"),
 ] + [
     # The journal's snapshot codec: a field left out of an overload is lost
     # across crash + recovery and escapes the per-entry snapshot digests.

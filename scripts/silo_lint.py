@@ -132,11 +132,11 @@ RULES = [
             ("src/sim/x.h", "std::map<int, int> m;", False),
             # Anti-entropy sweeps iterate per-server state; a hash map there
             # would randomize repair order (and thus every rng draw the
-            # repairs make), so the channel must keep sorted containers.
+            # repairs make), so the channel keeps id-indexed arrays.
             ("src/sim/control_channel.h",
              "std::unordered_map<int, PacerConfigTable> shadow_;", True),
             ("src/sim/control_channel.h",
-             "std::map<int, Agent> agents_;", False),
+             "std::vector<Agent> agents_;  ///< by server id", False),
         ],
     ),
     Rule(

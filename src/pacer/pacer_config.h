@@ -17,9 +17,12 @@
 // cycle.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -100,12 +103,14 @@ inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// The rate's IEEE-754 bit pattern: what the checksum folds and what the
+/// exact record comparison compares.
+inline std::uint64_t rate_bits(RateBps r) {
+  return std::bit_cast<std::uint64_t>(r.bps());
+}
+
 inline void fnv_mix_rate(std::uint64_t& h, RateBps r) {
-  const double d = r.bps();
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  fnv_mix(h, bits);
+  fnv_mix(h, rate_bits(r));
 }
 
 /// One record's contribution to pacer_config_checksum.
@@ -124,7 +129,29 @@ inline void fnv_mix_record(std::uint64_t& h, const PacerConfigRecord& rec) {
   }
 }
 
+/// Field-for-field equality over exactly what fnv_mix_record folds, rates
+/// by bit pattern: two records are equal iff they fold the same bytes.
+inline bool same_record(const PacerConfigRecord& a,
+                        const PacerConfigRecord& b) {
+  return a.tenant == b.tenant && a.vm_index == b.vm_index &&
+         a.server == b.server &&
+         rate_bits(a.guarantee.bandwidth) == rate_bits(b.guarantee.bandwidth) &&
+         a.guarantee.burst == b.guarantee.burst &&
+         a.guarantee.delay == b.guarantee.delay &&
+         rate_bits(a.guarantee.burst_rate) ==
+             rate_bits(b.guarantee.burst_rate) &&
+         a.peers == b.peers;
+}
+
 }  // namespace detail
+
+/// Exact equality of two record sequences: the collision-free oracle for
+/// "these fold to the same pacer_config_checksum".
+inline bool same_records(std::span<const PacerConfigRecord> a,
+                         std::span<const PacerConfigRecord> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    detail::same_record);
+}
 
 /// FNV-1a over a record sequence; the golden tests compare delta-built
 /// tables against full snapshots through this.
@@ -157,25 +184,39 @@ inline std::uint64_t pacer_lease_checksum(
 }
 
 /// One server's applied pacer state, keyed by (tenant, vm_index) — the
-/// hypervisor-side consumer of PacerConfigDeltas. Also tracks the active
-/// lease overlays and the local lease epoch; expiry is driven by
-/// advance_epoch (the server's own clock), never by delta delivery, so a
-/// lost revoke can delay *reclamation of borrowed* rate by at most the
-/// epochs already promised — never the owner's guarantee.
+/// hypervisor-side consumer of PacerConfigDeltas. The records sit in one
+/// vector sorted by key: a server holds at most its slot count of them, so
+/// a binary search and a short shift beat a tree node per record. Also
+/// tracks the active lease overlays and the local lease epoch; expiry is
+/// driven by advance_epoch (the server's own clock), never by delta
+/// delivery, so a lost revoke can delay *reclamation of borrowed* rate by
+/// at most the epochs already promised — never the owner's guarantee.
 class PacerConfigTable {
  public:
   /// How many epochs a cleanly-expired lease id is remembered so that a
   /// late-arriving revoke counts as `lease_expired`, not `stale_removes`.
   static constexpr std::uint64_t kExpiredRetentionEpochs = 4;
 
+  PacerConfigTable() = default;
+  /// The table that upserting `records` in order into an empty one builds
+  /// (the last upsert of a key wins).
+  explicit PacerConfigTable(std::vector<PacerConfigRecord> records) {
+    records_.reserve(records.size());
+    for (auto& rec : records) upsert(std::move(rec));
+  }
+
   /// Folds one delta in (removes before upserts, config before leases).
   PacerApplyResult apply(const PacerConfigDelta& delta) {
     PacerApplyResult res;
     if (!delta.removes.empty() || !delta.upserts.empty()) checksum_.reset();
-    for (const auto& key : delta.removes)
-      if (records_.erase(key) == 0) ++res.stale_removes;
-    for (const auto& rec : delta.upserts)
-      records_.insert_or_assign({rec.tenant, rec.vm_index}, rec);
+    for (const auto& key : delta.removes) {
+      const auto it = lower_bound(key);
+      if (it == records_.end() || key_of(*it) != key)
+        ++res.stale_removes;
+      else
+        records_.erase(it);
+    }
+    for (const auto& rec : delta.upserts) upsert(rec);
     if (delta.lease_epoch > epoch_) advance_epoch(delta.lease_epoch);
     for (const auto id : delta.lease_removes) {
       if (leases_.erase(id) > 0) continue;
@@ -230,13 +271,9 @@ class PacerConfigTable {
   std::size_t lease_count() const { return leases_.size(); }
 
   /// Records in (tenant, vm_index) order — the same deterministic order
-  /// SiloController::server_config emits, so snapshots diff cleanly.
-  std::vector<PacerConfigRecord> records() const {
-    std::vector<PacerConfigRecord> out;
-    out.reserve(records_.size());
-    for (const auto& [key, rec] : records_) out.push_back(rec);
-    return out;
-  }
+  /// SiloController::server_config emits, so snapshots diff cleanly. The
+  /// view lasts until the next apply().
+  const std::vector<PacerConfigRecord>& records() const { return records_; }
 
   /// Active (unexpired) leases in ascending id order.
   std::vector<PacerLeaseRecord> leases() const {
@@ -252,7 +289,7 @@ class PacerConfigTable {
   std::uint64_t checksum() const {
     if (!checksum_) {
       std::uint64_t h = detail::kFnvOffset;
-      for (const auto& [key, rec] : records_) detail::fnv_mix_record(h, rec);
+      for (const auto& rec : records_) detail::fnv_mix_record(h, rec);
       checksum_ = h;
     }
     return *checksum_;
@@ -262,7 +299,28 @@ class PacerConfigTable {
   }
 
  private:
-  std::map<std::pair<std::int64_t, int>, PacerConfigRecord> records_;
+  using Key = std::pair<std::int64_t, int>;  ///< (tenant, vm_index)
+  static Key key_of(const PacerConfigRecord& r) { return {r.tenant, r.vm_index}; }
+
+  /// The first record whose key is not below `key`.
+  std::vector<PacerConfigRecord>::iterator lower_bound(const Key& key) {
+    return std::lower_bound(
+        records_.begin(), records_.end(), key,
+        [](const PacerConfigRecord& r, const Key& k) { return key_of(r) < k; });
+  }
+
+  /// Insert or replace by key. Replacing assigns in place, so a copied
+  /// record reuses the old one's peers buffer.
+  template <class Rec>
+  void upsert(Rec&& rec) {
+    const auto it = lower_bound(key_of(rec));
+    if (it != records_.end() && key_of(*it) == key_of(rec))
+      *it = std::forward<Rec>(rec);
+    else
+      records_.insert(it, std::forward<Rec>(rec));
+  }
+
+  std::vector<PacerConfigRecord> records_;  ///< sorted by (tenant, vm_index)
   mutable std::optional<std::uint64_t> checksum_;  ///< of records_, if known
   std::map<std::uint64_t, PacerLeaseRecord> leases_;  ///< by lease id
   /// Cleanly-expired lease ids -> expiry epoch, kept a few epochs so a

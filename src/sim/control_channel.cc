@@ -1,10 +1,19 @@
 #include "sim/control_channel.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/controller.h"
 
 namespace silo::sim {
+
+namespace {
+
+void check_server(int server, const char* what) {
+  if (server < 0 || server >= kMaxChannelServers) throw std::out_of_range(what);
+}
+
+}  // namespace
 
 TimeNs channel_retry_delay(const ChannelRetryPolicy& p, int attempt, Rng& rng) {
   TimeNs backoff = p.base_backoff;
@@ -20,6 +29,20 @@ TimeNs channel_retry_delay(const ChannelRetryPolicy& p, int attempt, Rng& rng) {
 
 // ---------------------------------------------------------- PacerAgentFleet
 
+PacerAgentFleet::Agent& PacerAgentFleet::agent(int server) {
+  check_server(server, "PacerAgentFleet: server id");
+  const auto i = static_cast<std::size_t>(server);
+  if (i >= agents_.size()) agents_.resize(i + 1);
+  agents_[i].touched = true;
+  return agents_[i];
+}
+
+const PacerAgentFleet::Agent* PacerAgentFleet::find(int server) const {
+  if (server < 0 || server >= id_bound()) return nullptr;
+  const Agent& a = agents_[static_cast<std::size_t>(server)];
+  return a.touched ? &a : nullptr;
+}
+
 void PacerAgentFleet::apply_in_order(int server, Agent& agent,
                                      const PacerConfigDelta& delta) {
   agent.table.apply(delta);
@@ -28,19 +51,19 @@ void PacerAgentFleet::apply_in_order(int server, Agent& agent,
 }
 
 void PacerAgentFleet::drain(int server, Agent& agent, DeliveryResult& result) {
-  for (auto it = agent.pending.begin();
-       it != agent.pending.end() && it->first == agent.next_seq;
-       it = agent.pending.erase(it)) {
+  auto it = agent.pending.begin();
+  for (; it != agent.pending.end() && it->first == agent.next_seq; ++it) {
     apply_in_order(server, agent, it->second);
     ++result.applied;
   }
+  agent.pending.erase(agent.pending.begin(), it);
 }
 
 PacerAgentFleet::DeliveryResult PacerAgentFleet::deliver_delta(
     int server, std::uint64_t epoch, std::int64_t seq,
     const PacerConfigDelta& delta) {
   DeliveryResult result;
-  Agent& agent = agents_[server];
+  Agent& agent = this->agent(server);
   if (epoch < agent.epoch) {
     result.stale_epoch = 1;
     result.epoch = agent.epoch;
@@ -61,10 +84,15 @@ PacerAgentFleet::DeliveryResult PacerAgentFleet::deliver_delta(
     ++result.applied;
     drain(server, agent, result);
   } else {
-    if (agent.pending.emplace(seq, delta).second)
+    const auto at = std::lower_bound(
+        agent.pending.begin(), agent.pending.end(), seq,
+        [](const auto& entry, std::int64_t s) { return entry.first < s; });
+    if (at == agent.pending.end() || at->first != seq) {
+      agent.pending.emplace(at, seq, delta);
       result.gaps = 1;
-    else
+    } else {
       result.duplicates = 1;
+    }
   }
   result.epoch = agent.epoch;
   result.acked_through = agent.next_seq - 1;
@@ -75,7 +103,7 @@ PacerAgentFleet::DeliveryResult PacerAgentFleet::deliver_snapshot(
     int server, std::uint64_t epoch, std::int64_t through_seq,
     const std::vector<PacerConfigRecord>& records) {
   DeliveryResult result;
-  Agent& agent = agents_[server];
+  Agent& agent = this->agent(server);
   if (epoch < agent.epoch) {
     result.stale_epoch = 1;
     result.epoch = agent.epoch;
@@ -94,6 +122,7 @@ PacerAgentFleet::DeliveryResult PacerAgentFleet::deliver_snapshot(
   // the snapshot's upserts), so the hook sees the same protocol shape.
   PacerConfigDelta reset;
   reset.server = server;
+  reset.removes.reserve(agent.table.size());
   for (const auto& rec : agent.table.records())
     reset.removes.emplace_back(rec.tenant, rec.vm_index);
   reset.upserts = records;
@@ -103,8 +132,11 @@ PacerAgentFleet::DeliveryResult PacerAgentFleet::deliver_snapshot(
     agent.epoch = epoch;
     agent.pending.clear();
   } else {
-    agent.pending.erase(agent.pending.begin(),
-                        agent.pending.upper_bound(through_seq));
+    agent.pending.erase(
+        agent.pending.begin(),
+        std::upper_bound(
+            agent.pending.begin(), agent.pending.end(), through_seq,
+            [](std::int64_t s, const auto& entry) { return s < entry.first; }));
   }
   agent.next_seq = through_seq + 1;
   drain(server, agent, result);
@@ -114,26 +146,25 @@ PacerAgentFleet::DeliveryResult PacerAgentFleet::deliver_snapshot(
 }
 
 std::uint64_t PacerAgentFleet::checksum(int server) const {
-  const auto it = agents_.find(server);
-  if (it == agents_.end()) return pacer_config_checksum({});
-  return it->second.table.checksum();
+  const Agent* a = find(server);
+  return a ? a->table.checksum() : pacer_config_checksum({});
 }
 
 const PacerConfigTable* PacerAgentFleet::table(int server) const {
-  const auto it = agents_.find(server);
-  return it == agents_.end() ? nullptr : &it->second.table;
+  const Agent* a = find(server);
+  return a ? &a->table : nullptr;
 }
 
 std::vector<int> PacerAgentFleet::servers() const {
   std::vector<int> out;
-  out.reserve(agents_.size());
-  for (const auto& [server, agent] : agents_) out.push_back(server);
+  for (int s = 0; s < id_bound(); ++s)
+    if (agents_[static_cast<std::size_t>(s)].touched) out.push_back(s);
   return out;
 }
 
 int PacerAgentFleet::buffered(int server) const {
-  const auto it = agents_.find(server);
-  return it == agents_.end() ? 0 : static_cast<int>(it->second.pending.size());
+  const Agent* a = find(server);
+  return a ? static_cast<int>(a->pending.size()) : 0;
 }
 
 // ----------------------------------------------------------- ControlChannel
@@ -171,6 +202,77 @@ ControlChannel::ControlChannel(EventQueue& events, PacerAgentFleet& fleet,
   if (cfg_.anti_entropy_period > TimeNs{0}) arm_anti_entropy();
 }
 
+ControlChannel::Server& ControlChannel::server_state(int server) {
+  const auto i = static_cast<std::size_t>(server);
+  if (i >= servers_.size()) servers_.resize(i + 1);
+  return servers_[i];
+}
+
+const ControlChannel::Server* ControlChannel::find_server(int server) const {
+  if (server < 0 || server >= static_cast<int>(servers_.size())) return nullptr;
+  return &servers_[static_cast<std::size_t>(server)];
+}
+
+int ControlChannel::id_bound() const {
+  return std::max(static_cast<int>(servers_.size()), fleet_.id_bound());
+}
+
+ControlChannel::Outstanding* ControlChannel::find_outstanding(
+    int server, std::int64_t seq, std::uint64_t gen) {
+  if (server >= static_cast<int>(servers_.size())) return nullptr;
+  for (auto& entry : servers_[static_cast<std::size_t>(server)].outstanding)
+    if (entry.seq == seq) return entry.gen == gen ? &entry : nullptr;
+  return nullptr;
+}
+
+void ControlChannel::post(TimeNs delay, Message msg) {
+  std::uint32_t index;
+  if (!free_messages_.empty()) {
+    index = free_messages_.back();
+    free_messages_.pop_back();
+    messages_[index] = std::move(msg);
+  } else {
+    index = static_cast<std::uint32_t>(messages_.size());
+    messages_.push_back(std::move(msg));
+  }
+  events_.raw_after(delay, &ControlChannel::on_message, this, index);
+}
+
+void ControlChannel::on_message(void* self, std::uint32_t index) {
+  auto& ch = *static_cast<ControlChannel*>(self);
+  // Take the message out first: handling it may post and reuse the slot.
+  const Message msg = std::move(ch.messages_[index]);
+  ch.free_messages_.push_back(index);
+  switch (msg.kind) {
+    case Message::Kind::kDelta:
+      ch.on_delivered(msg.server,
+                      ch.fleet_.deliver_delta(msg.server, msg.tag, msg.seq,
+                                              *msg.payload));
+      break;
+    case Message::Kind::kSnapshot:
+      ch.on_delivered(msg.server,
+                      ch.fleet_.deliver_snapshot(msg.server, msg.tag, msg.seq,
+                                                 msg.payload->upserts));
+      break;
+    case Message::Kind::kAck:
+      ch.on_ack(msg.server, msg.tag, msg.seq);
+      break;
+    case Message::Kind::kAckTimeout:
+      ch.on_ack_timeout(msg.server, msg.seq, msg.tag);
+      break;
+    case Message::Kind::kRetry:
+      if (const Outstanding* entry =
+              ch.find_outstanding(msg.server, msg.seq, msg.tag))
+        ch.transmit(msg.server, *entry);
+      break;
+    case Message::Kind::kAntiEntropy:
+      if (msg.tag != ch.ae_generation_) break;  // a restart superseded it
+      ch.anti_entropy_round();
+      ch.arm_anti_entropy();
+      break;
+  }
+}
+
 TimeNs ControlChannel::hop_delay() {
   TimeNs d = cfg_.delivery_delay;
   if (cfg_.delivery_jitter > TimeNs{0})
@@ -198,160 +300,115 @@ void ControlChannel::check_converged() {
   m_convergence_ns_.set(last_convergence_.count());
 }
 
-void ControlChannel::ship(const std::vector<PacerConfigDelta>& deltas) {
-  for (const auto& delta : deltas) {
+void ControlChannel::ship(std::vector<PacerConfigDelta> deltas) {
+  for (const auto& delta : deltas)
+    check_server(delta.server, "ControlChannel::ship: server id");
+  for (auto& delta : deltas) {
     const int server = delta.server;
     note_disturbance();
     // The shadow is the controller-local authoritative copy — applied
     // reliably at ship time, so stale removes counted here are genuine
     // protocol smells, not reordering artifacts. Revokes that raced a
     // clean epoch expiry are benign and counted apart.
-    const PacerApplyResult shadow_applied = shadow_[server].apply(delta);
+    Server& st = server_state(server);
+    const PacerApplyResult shadow_applied = st.shadow.apply(delta);
+    st.has_shadow = true;
     m_stale_removes_.inc(shadow_applied.stale_removes);
     m_lease_expired_.inc(shadow_applied.lease_expired);
-    const std::int64_t seq = ++last_seq_[server];
-    Outstanding& entry = outstanding_[server][seq];
-    entry.delta = delta;
-    entry.attempt = 1;
-    entry.gen = next_gen_++;
+    st.outstanding.push_back(
+        {++st.last_seq,
+         std::make_shared<const PacerConfigDelta>(std::move(delta)),
+         /*is_snapshot=*/false, /*attempt=*/1, next_gen_++});
     ++total_outstanding_;
     m_shipped_.inc();
-    transmit(server, seq);
+    transmit(server, st.outstanding.back());
   }
 }
 
-void ControlChannel::transmit(int server, std::int64_t seq) {
-  const auto sit = outstanding_.find(server);
-  if (sit == outstanding_.end()) return;
-  const auto it = sit->second.find(seq);
-  if (it == sit->second.end()) return;
-  const Outstanding& entry = it->second;
+void ControlChannel::transmit(int server, const Outstanding& entry) {
   if (!dropped()) {
     const TimeNs delay = hop_delay();
-    if (entry.is_snapshot) {
-      events_.after(delay, [this, server, epoch = epoch_,
-                            through = entry.through_seq,
-                            records = entry.snapshot] {
-        on_snapshot_delivered(server, epoch, through, records);
-      });
-    } else {
-      events_.after(delay, [this, server, epoch = epoch_, seq,
-                            delta = entry.delta] {
-        on_delta_delivered(server, epoch, seq, delta);
-      });
-    }
+    post(delay, {entry.is_snapshot ? Message::Kind::kSnapshot
+                                   : Message::Kind::kDelta,
+                 server, epoch_, entry.seq, entry.payload});
   }
-  events_.after(cfg_.ack_timeout, [this, server, seq, gen = entry.gen] {
-    on_ack_timeout(server, seq, gen);
-  });
+  post(cfg_.ack_timeout,
+       {Message::Kind::kAckTimeout, server, entry.gen, entry.seq, nullptr});
 }
 
-void ControlChannel::count_delivery(const PacerAgentFleet::DeliveryResult& r) {
+void ControlChannel::on_delivered(int server,
+                                  const PacerAgentFleet::DeliveryResult& r) {
   m_delivered_.inc();
   m_applied_.inc(r.applied);
   m_duplicates_.inc(r.duplicates);
   m_gaps_.inc(r.gaps);
   m_stale_epoch_.inc(r.stale_epoch);
-}
-
-void ControlChannel::send_ack(int server,
-                              const PacerAgentFleet::DeliveryResult& r) {
   if (r.stale_epoch) return;  // the dead incarnation gets no answer
   if (dropped()) return;
-  events_.after(hop_delay(), [this, server, epoch = r.epoch,
-                              acked = r.acked_through] {
-    on_ack(server, epoch, acked);
-  });
-}
-
-void ControlChannel::on_delta_delivered(int server, std::uint64_t epoch,
-                                        std::int64_t seq,
-                                        const PacerConfigDelta& delta) {
-  const auto r = fleet_.deliver_delta(server, epoch, seq, delta);
-  count_delivery(r);
-  send_ack(server, r);
-}
-
-void ControlChannel::on_snapshot_delivered(
-    int server, std::uint64_t epoch, std::int64_t through_seq,
-    const std::vector<PacerConfigRecord>& records) {
-  const auto r = fleet_.deliver_snapshot(server, epoch, through_seq, records);
-  count_delivery(r);
-  send_ack(server, r);
+  post(hop_delay(),
+       {Message::Kind::kAck, server, r.epoch, r.acked_through, nullptr});
 }
 
 void ControlChannel::on_ack(int server, std::uint64_t epoch,
                             std::int64_t acked_through) {
   if (epoch != epoch_) return;  // ack for a previous incarnation
-  const auto sit = outstanding_.find(server);
-  if (sit == outstanding_.end()) return;
-  auto& per_server = sit->second;
+  if (server >= static_cast<int>(servers_.size())) return;
+  auto& outstanding = servers_[static_cast<std::size_t>(server)].outstanding;
+  if (outstanding.empty()) return;
   // Cumulative ack: everything at or below the agent's contiguous cursor
   // has landed (snapshot entries are keyed by their through_seq).
-  auto it = per_server.begin();
-  while (it != per_server.end() && it->first <= acked_through) {
-    it = per_server.erase(it);
-    --total_outstanding_;
-  }
-  if (per_server.empty()) outstanding_.erase(sit);
+  auto end = outstanding.begin();
+  while (end != outstanding.end() && end->seq <= acked_through) ++end;
+  total_outstanding_ -= end - outstanding.begin();
+  outstanding.erase(outstanding.begin(), end);
   check_converged();
 }
 
 void ControlChannel::on_ack_timeout(int server, std::int64_t seq,
                                     std::uint64_t gen) {
-  const auto sit = outstanding_.find(server);
-  if (sit == outstanding_.end()) return;
-  const auto it = sit->second.find(seq);
-  if (it == sit->second.end() || it->second.gen != gen) return;
-  Outstanding& entry = it->second;
-  if (entry.attempt >= cfg_.retry.max_attempts) {
+  Outstanding* entry = find_outstanding(server, seq, gen);
+  if (!entry) return;
+  if (entry->attempt >= cfg_.retry.max_attempts) {
     // Give up; the anti-entropy sweep is the backstop for this server.
     m_abandoned_.inc();
-    sit->second.erase(it);
+    auto& outstanding = servers_[static_cast<std::size_t>(server)].outstanding;
+    outstanding.erase(outstanding.begin() + (entry - outstanding.data()));
     --total_outstanding_;
-    if (sit->second.empty()) outstanding_.erase(sit);
     return;
   }
-  ++entry.attempt;
+  ++entry->attempt;
   m_retries_.inc();
-  const TimeNs backoff = channel_retry_delay(cfg_.retry, entry.attempt, rng_);
-  events_.after(backoff, [this, server, seq, gen] {
-    const auto s2 = outstanding_.find(server);
-    if (s2 == outstanding_.end()) return;
-    const auto e2 = s2->second.find(seq);
-    if (e2 == s2->second.end() || e2->second.gen != gen) return;
-    transmit(server, seq);
-  });
+  const TimeNs backoff = channel_retry_delay(cfg_.retry, entry->attempt, rng_);
+  post(backoff, {Message::Kind::kRetry, server, gen, seq, nullptr});
 }
 
 void ControlChannel::ship_repair(int server) {
+  Server& st = server_state(server);
   // The snapshot supersedes anything still queued for this server.
-  const auto sit = outstanding_.find(server);
-  if (sit != outstanding_.end()) {
-    total_outstanding_ -= static_cast<std::int64_t>(sit->second.size());
-    outstanding_.erase(sit);
-  }
+  total_outstanding_ -= static_cast<std::int64_t>(st.outstanding.size());
+  st.outstanding.clear();
   note_disturbance();
-  const std::int64_t through = last_seq_[server];
-  Outstanding& entry = outstanding_[server][through];
-  entry.is_snapshot = true;
-  entry.snapshot = shadow_[server].records();
-  entry.through_seq = through;
-  entry.attempt = 1;
-  entry.gen = next_gen_++;
+  auto snapshot = std::make_shared<PacerConfigDelta>();
+  snapshot->server = server;
+  snapshot->upserts = st.shadow.records();
+  st.has_shadow = true;
+  st.outstanding.push_back({st.last_seq, std::move(snapshot),
+                            /*is_snapshot=*/true, /*attempt=*/1, next_gen_++});
   ++total_outstanding_;
   m_desyncs_repaired_.inc();
-  transmit(server, through);
+  transmit(server, st.outstanding.back());
 }
 
 int ControlChannel::anti_entropy_round() {
   m_ae_rounds_.inc();
   int repairs = 0;
   // Ascending server id: the sweep order (and thus every rng draw the
-  // repairs make) is deterministic.
-  for (const int server : union_servers()) {
-    const auto sit = outstanding_.find(server);
-    if (sit != outstanding_.end() && !sit->second.empty())
+  // repairs make) is deterministic. A real agent reports a checksum, so
+  // that is what the sweep compares. Ids neither side knows compare equal
+  // (empty against empty) and are skipped.
+  for (int server = 0, n = id_bound(); server < n; ++server) {
+    const Server* st = find_server(server);
+    if (st && !st->outstanding.empty())
       continue;  // still being retried; don't race the in-flight deltas
     if (shadow_checksum(server) == fleet_.checksum(server) &&
         fleet_.buffered(server) == 0)
@@ -364,35 +421,27 @@ int ControlChannel::anti_entropy_round() {
 }
 
 void ControlChannel::arm_anti_entropy() {
-  events_.after(cfg_.anti_entropy_period, [this, gen = ae_generation_] {
-    if (gen != ae_generation_) return;  // a restart superseded this timer
-    anti_entropy_round();
-    arm_anti_entropy();
-  });
+  post(cfg_.anti_entropy_period,
+       {Message::Kind::kAntiEntropy, 0, ae_generation_, 0, nullptr});
 }
 
 void ControlChannel::restart(const SiloController& ctl) {
   ++epoch_;
   ++ae_generation_;
-  outstanding_.clear();
+  for (auto& st : servers_) st = Server{};
   total_outstanding_ = 0;
-  last_seq_.clear();
-  shadow_.clear();
   // Shadow = the recovered controller's shipped state, over every server
   // either side knows about (an agent may hold records for a server the
   // new controller no longer paces — it needs an explicit empty shadow so
   // anti-entropy wipes it).
-  std::vector<int> servers = ctl.paced_servers();
-  const std::vector<int> agents = fleet_.servers();
-  std::vector<int> all;
-  std::set_union(servers.begin(), servers.end(), agents.begin(), agents.end(),
-                 std::back_inserter(all));
-  for (const int server : all) {
-    PacerConfigDelta full;
-    full.server = server;
-    full.upserts = ctl.server_config(server);
-    shadow_[server].apply(full);
-  }
+  const auto adopt = [&](int server) {
+    Server& st = server_state(server);
+    if (st.has_shadow) return;
+    st.shadow = PacerConfigTable(ctl.server_config(server));
+    st.has_shadow = true;
+  };
+  for (const int server : ctl.paced_servers()) adopt(server);
+  for (const int server : fleet_.servers()) adopt(server);
   was_converged_ = true;  // force a fresh disturbance window
   note_disturbance();
   check_converged();  // an empty fleet may already be converged
@@ -401,32 +450,27 @@ void ControlChannel::restart(const SiloController& ctl) {
 
 bool ControlChannel::converged() const {
   if (total_outstanding_ != 0) return false;
-  for (const int server : union_servers()) {
-    if (shadow_checksum(server) != fleet_.checksum(server)) return false;
+  for (int server = 0, n = id_bound(); server < n; ++server) {
     if (fleet_.buffered(server) != 0) return false;
+    const Server* st = find_server(server);
+    const PacerConfigTable* agent = fleet_.table(server);
+    const std::span<const PacerConfigRecord> none;
+    if (!same_records(st ? st->shadow.records() : none,
+                      agent ? agent->records() : none))
+      return false;
   }
   return true;
 }
 
 std::uint64_t ControlChannel::shadow_checksum(int server) const {
-  const auto it = shadow_.find(server);
-  if (it == shadow_.end()) return pacer_config_checksum({});
-  return it->second.checksum();
+  const Server* st = find_server(server);
+  return st ? st->shadow.checksum() : pacer_config_checksum({});
 }
 
 std::vector<int> ControlChannel::shadow_servers() const {
   std::vector<int> out;
-  out.reserve(shadow_.size());
-  for (const auto& [server, table] : shadow_) out.push_back(server);
-  return out;
-}
-
-std::vector<int> ControlChannel::union_servers() const {
-  const std::vector<int> a = shadow_servers();
-  const std::vector<int> b = fleet_.servers();
-  std::vector<int> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
+  for (int s = 0; s < static_cast<int>(servers_.size()); ++s)
+    if (servers_[static_cast<std::size_t>(s)].has_shadow) out.push_back(s);
   return out;
 }
 

@@ -19,11 +19,19 @@
 // messages from the dead incarnation), rebuilds the shadow tables from the
 // recovered controller, and lets anti-entropy drive every agent back to
 // the shipped state.
+//
+// Cost model: a shipped delta costs O(its records). Per-server state on
+// both sides is flat, indexed by server id and walked in ascending id
+// order; each payload is stored once and shared by its outstanding entry
+// and every in-flight copy; and every channel event (delivery, ack, ack
+// timeout, retry, anti-entropy tick) is a typed EventQueue::raw_after
+// event carrying an index into a recycled message table.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -63,6 +71,11 @@ struct ChannelConfig {
   std::uint64_t seed = 1;
 };
 
+/// Server ids the channel and the fleet accept: [0, kMaxChannelServers).
+/// Their per-server state is indexed by id, so an id is also a size; the
+/// bound is 32x the paper's 32K-server datacenter.
+inline constexpr int kMaxChannelServers = 1 << 20;
+
 /// Server-side pacer agents: per-server (epoch, next_seq, gap buffer,
 /// applied PacerConfigTable). Survives controller crashes. The optional
 /// apply hook observes every in-order applied delta (and snapshot-repair
@@ -85,34 +98,43 @@ class PacerAgentFleet {
   /// Idempotent sequenced apply: duplicates drop, gaps buffer, in-order
   /// deltas apply and drain the buffer. A higher epoch resets the sequence
   /// space (the buffer dies with the old epoch; the table survives and is
-  /// reconciled by anti-entropy).
+  /// reconciled by anti-entropy). Throws std::out_of_range, changing
+  /// nothing, for a server outside [0, kMaxChannelServers).
   DeliveryResult deliver_delta(int server, std::uint64_t epoch,
                                std::int64_t seq, const PacerConfigDelta& delta);
 
   /// Full-snapshot repair: resets the agent's table to `records`, adopts
   /// `epoch`, and fast-forwards the sequence cursor to `through_seq`.
+  /// Range-checked like deliver_delta.
   DeliveryResult deliver_snapshot(int server, std::uint64_t epoch,
                                   std::int64_t through_seq,
                                   const std::vector<PacerConfigRecord>& records);
 
   /// Applied-state checksum (empty-table checksum when no agent exists).
   std::uint64_t checksum(int server) const;
+  /// The agent's table, or null when no delivery ever reached `server`.
   const PacerConfigTable* table(int server) const;
   std::vector<int> servers() const;  ///< agents ever touched, ascending
   int buffered(int server) const;    ///< gap-buffered deltas held
+  /// One past the highest server id ever touched.
+  int id_bound() const { return static_cast<int>(agents_.size()); }
 
  private:
   struct Agent {
+    bool touched = false;  ///< a delivery reached it (servers() lists it)
     std::uint64_t epoch = 0;
     std::int64_t next_seq = 1;
-    std::map<std::int64_t, PacerConfigDelta> pending;  ///< seq -> buffered
+    /// Gap buffer of ahead-of-sequence deltas, ascending seq.
+    std::vector<std::pair<std::int64_t, PacerConfigDelta>> pending;
     PacerConfigTable table;
   };
 
+  Agent& agent(int server);  ///< range-checked; grows the id-indexed array
+  const Agent* find(int server) const;  ///< null unless touched
   void apply_in_order(int server, Agent& agent, const PacerConfigDelta& delta);
   void drain(int server, Agent& agent, DeliveryResult& result);
 
-  std::map<int, Agent> agents_;
+  std::vector<Agent> agents_;  ///< by server id
   ApplyHook hook_;
 };
 
@@ -124,11 +146,17 @@ class ControlChannel {
  public:
   ControlChannel(EventQueue& events, PacerAgentFleet& fleet,
                  const ChannelConfig& cfg);
+  /// Scheduled events hold this channel's address.
+  ControlChannel(const ControlChannel&) = delete;
+  ControlChannel& operator=(const ControlChannel&) = delete;
 
   /// Ship drained controller deltas: each is applied to the server's
   /// shadow table (reliable, controller-local) and transmitted with the
-  /// next per-server sequence number.
-  void ship(const std::vector<PacerConfigDelta>& deltas);
+  /// next per-server sequence number. A temporary batch is moved into the
+  /// shared payloads; an lvalue is copied once. Throws std::out_of_range,
+  /// shipping nothing, if any delta names a server outside
+  /// [0, kMaxChannelServers).
+  void ship(std::vector<PacerConfigDelta> deltas);
 
   /// Model a controller crash + recovery on the channel side: bump the
   /// epoch, drop all send state (outstanding transmissions and timers of
@@ -142,7 +170,9 @@ class ControlChannel {
   /// gets a full-snapshot repair. Returns the number of repairs shipped.
   int anti_entropy_round();
 
-  /// All agents match their shadow tables and nothing is in flight.
+  /// All agents hold exactly their shadow tables' records (compared field
+  /// for field, not by checksum), none holds a gap-buffered delta, and
+  /// nothing is outstanding.
   bool converged() const;
 
   void set_drop_rate(double rate) { cfg_.drop_rate = rate; }
@@ -159,30 +189,60 @@ class ControlChannel {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  /// A delta, or a snapshot as the upsert list of one. Stored once: the
+  /// outstanding entry and every in-flight copy share it, and a duplicate
+  /// or retransmission may outlive the ack that erases the entry.
+  using Payload = std::shared_ptr<const PacerConfigDelta>;
+
   struct Outstanding {
-    PacerConfigDelta delta;                   ///< delta payload
-    std::vector<PacerConfigRecord> snapshot;  ///< snapshot-repair payload
-    std::int64_t through_seq = 0;             ///< snapshot cursor target
+    std::int64_t seq = 0;  ///< delta seq, or a snapshot's through_seq
+    Payload payload;
     bool is_snapshot = false;
     int attempt = 0;
-    std::uint64_t gen = 0;  ///< guards timer closures against reuse
+    std::uint64_t gen = 0;  ///< tells this send from a reused (server, seq)
   };
 
-  void transmit(int server, std::int64_t seq);
-  void on_delta_delivered(int server, std::uint64_t epoch, std::int64_t seq,
-                          const PacerConfigDelta& delta);
-  void on_snapshot_delivered(int server, std::uint64_t epoch,
-                             std::int64_t through_seq,
-                             const std::vector<PacerConfigRecord>& records);
-  void count_delivery(const PacerAgentFleet::DeliveryResult& r);
-  void send_ack(int server, const PacerAgentFleet::DeliveryResult& r);
+  /// Controller-side state of one server id.
+  struct Server {
+    std::int64_t last_seq = 0;
+    std::vector<Outstanding> outstanding;  ///< ascending seq
+    PacerConfigTable shadow;  ///< empty unless has_shadow
+    bool has_shadow = false;
+  };
+
+  /// One scheduled channel event; its EventQueue arg indexes messages_.
+  struct Message {
+    enum class Kind : std::uint8_t {
+      kDelta,        ///< delivery of payload as seq in epoch `tag`
+      kSnapshot,     ///< delivery of payload->upserts through seq
+      kAck,          ///< agent acked through seq in epoch `tag`
+      kAckTimeout,   ///< the send (server, seq) of generation `tag` is due
+      kRetry,        ///< retransmit (server, seq) of generation `tag`
+      kAntiEntropy,  ///< periodic sweep of anti-entropy generation `tag`
+    };
+    Kind kind = Kind::kDelta;
+    int server = 0;
+    std::uint64_t tag = 0;  ///< epoch or generation, per kind
+    std::int64_t seq = 0;
+    Payload payload;  ///< deliveries only
+  };
+
+  static void on_message(void* self, std::uint32_t index);
+  void post(TimeNs delay, Message msg);
+  Server& server_state(int server);  ///< grows the id-indexed array
+  const Server* find_server(int server) const;  ///< null beyond the array
+  Outstanding* find_outstanding(int server, std::int64_t seq,
+                                std::uint64_t gen);
+  int id_bound() const;  ///< one past the highest id either side knows
+
+  void transmit(int server, const Outstanding& entry);
+  void on_delivered(int server, const PacerAgentFleet::DeliveryResult& r);
   void on_ack(int server, std::uint64_t epoch, std::int64_t acked_through);
   void on_ack_timeout(int server, std::int64_t seq, std::uint64_t gen);
   void ship_repair(int server);
   void arm_anti_entropy();
   void note_disturbance();
   void check_converged();
-  std::vector<int> union_servers() const;
   TimeNs hop_delay();
   bool dropped();
 
@@ -191,10 +251,10 @@ class ControlChannel {
   ChannelConfig cfg_;
   Rng rng_;
   std::uint64_t epoch_ = 1;
-  std::map<int, std::int64_t> last_seq_;
-  std::map<int, std::map<std::int64_t, Outstanding>> outstanding_;
+  std::vector<Server> servers_;  ///< by server id
   std::int64_t total_outstanding_ = 0;
-  std::map<int, PacerConfigTable> shadow_;
+  std::vector<Message> messages_;  ///< recycled through free_messages_
+  std::vector<std::uint32_t> free_messages_;
   std::uint64_t next_gen_ = 1;
   std::uint64_t ae_generation_ = 0;  ///< invalidates the periodic timer
   TimeNs disturbance_at_ {};

@@ -7,8 +7,11 @@
 // control-plane periodics). Events are typed POD records dispatched through
 // a switch on EventKind — no virtual call, no std::function, and no heap
 // allocation anywhere on the per-packet path. Generic std::function
-// callbacks remain available for cold control-plane work (tests, drivers'
-// response closures); they ride the same wheel via a recycled slot table.
+// callbacks remain available for cold work (tests, drivers' response
+// closures, fault actions, ClusterSim's config-delta applies); they ride
+// the same wheel via a recycled slot table. The ControlChannel uses none:
+// its deliveries, acks and timers are kRawCall events indexing its own
+// message table.
 //
 // The engine also owns the PacketPool: every component that can schedule
 // events can reach the packet arena through it, so packets travel as 4-byte

@@ -1,8 +1,10 @@
 // ControlChannel / PacerAgentFleet tests: sequenced idempotent delivery
 // (any permutation-with-duplicates of a delta stream converges to the
 // in-order result), loss + retry + anti-entropy reconciliation, epoch
-// handling across controller restarts, stale-remove accounting, and the
-// rotating-seed control-plane chaos soak.
+// handling across controller restarts, stale-remove accounting, the
+// sorted PacerConfigTable against a map model, server-id range checks, a
+// bit-identity pin of a lossy storm, and the rotating-seed control-plane
+// chaos soak.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -291,6 +294,160 @@ TEST(ControlChannel, StaleRemovesAreCountedNotSwallowed) {
   EXPECT_EQ(channel.metrics().value("controller.channel.stale_removes"), 1);
 }
 
+TEST(PacerConfigTable, SortedStorageMatchesMapModel) {
+  // Reference model: a std::map keyed by (tenant, vm_index), applied with
+  // the protocol's rules (removes before upserts, the last upsert of a key
+  // wins, a remove of an absent key is stale).
+  using Key = std::pair<std::int64_t, int>;
+  using Model = std::map<Key, PacerConfigRecord>;
+  const auto model_records = [](const Model& model) {
+    std::vector<PacerConfigRecord> out;
+    for (const auto& [key, rec] : model) out.push_back(rec);
+    return out;
+  };
+  Rng rng(73);
+  const auto key = [&] {
+    return Key{rng.uniform_int(0, 7), static_cast<int>(rng.uniform_int(0, 3))};
+  };
+  const auto record = [&](Key k) {
+    PacerConfigRecord rec;
+    rec.tenant = k.first;
+    rec.vm_index = k.second;
+    rec.server = 4;
+    rec.guarantee = {(100 + 50 * rng.uniform_int(0, 6)) * kMbps,
+                     Bytes{1500 * rng.uniform_int(1, 10)},
+                     TimeNs{1000 * rng.uniform_int(0, 3)}, 1 * kGbps};
+    for (int p = 0, n = static_cast<int>(rng.uniform_int(0, 4)); p < n; ++p)
+      rec.peers.emplace_back(p, static_cast<int>(rng.uniform_int(0, 31)));
+    return rec;
+  };
+
+  Model model;
+  PacerConfigTable table;
+  int stale = 0, reupserts = 0, remove_then_upsert = 0;
+  for (int step = 0; step < 2000; ++step) {
+    PacerConfigDelta delta;
+    delta.server = 4;
+    for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 3)); i < n; ++i)
+      delta.removes.push_back(key());
+    for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 4)); i < n; ++i)
+      delta.upserts.push_back(record(key()));
+    if (rng.uniform() < 0.2) {  // one key removed and upserted in one delta
+      const Key k = key();
+      delta.removes.push_back(k);
+      delta.upserts.push_back(record(k));
+    }
+
+    int want_stale = 0;
+    for (const Key& k : delta.removes) {
+      if (model.erase(k) == 0) ++want_stale;
+      remove_then_upsert += std::any_of(
+          delta.upserts.begin(), delta.upserts.end(), [&](const auto& rec) {
+            return Key{rec.tenant, rec.vm_index} == k;
+          });
+    }
+    for (const auto& rec : delta.upserts) {
+      reupserts += model.count({rec.tenant, rec.vm_index}) > 0;
+      model.insert_or_assign({rec.tenant, rec.vm_index}, rec);
+    }
+    stale += want_stale;
+
+    const PacerApplyResult got = table.apply(delta);
+    const auto want = model_records(model);
+    ASSERT_EQ(got.stale_removes, want_stale) << "step " << step;
+    ASSERT_EQ(table.size(), want.size()) << "step " << step;
+    ASSERT_TRUE(same_records(table.records(), want)) << "step " << step;
+    ASSERT_EQ(table.checksum(), pacer_config_checksum(want)) << "step " << step;
+
+    // Building a table from a record list is upserting it into an empty
+    // one: unsorted input with repeated keys, the last one winning.
+    if (step % 50 == 0) {
+      std::vector<PacerConfigRecord> list;
+      Model built;
+      for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 12)); i < n; ++i) {
+        list.push_back(record(key()));
+        built.insert_or_assign({list.back().tenant, list.back().vm_index},
+                               list.back());
+      }
+      const PacerConfigTable from_list(list);
+      EXPECT_TRUE(same_records(from_list.records(), model_records(built)))
+          << "step " << step;
+      EXPECT_EQ(from_list.checksum(), pacer_config_checksum(model_records(built)));
+    }
+  }
+  // The seeded stream really exercised every case.
+  EXPECT_GT(stale, 100);
+  EXPECT_GT(reupserts, 100);
+  EXPECT_GT(remove_then_upsert, 50);
+}
+
+TEST(ControlChannel, OutOfRangeServerIdsThrowBeforeAnyStateChanges) {
+  EventQueue events;
+  PacerAgentFleet fleet;
+  ControlChannel channel(events, fleet, ChannelConfig{});
+  PacerConfigDelta good;
+  good.server = 3;
+  PacerConfigRecord rec;
+  rec.tenant = 1;
+  rec.server = 3;
+  good.upserts.push_back(rec);
+  PacerConfigDelta negative = good;
+  negative.server = -1;
+  PacerConfigDelta too_big = good;
+  too_big.server = kMaxChannelServers;
+
+  // The valid delta ahead of the bad one is not shipped either.
+  EXPECT_THROW(channel.ship({good, negative}), std::out_of_range);
+  EXPECT_THROW(channel.ship({too_big}), std::out_of_range);
+  EXPECT_TRUE(channel.shadow_servers().empty());
+  EXPECT_EQ(channel.metrics().value("controller.channel.shipped"), 0);
+  EXPECT_TRUE(events.empty());
+  EXPECT_TRUE(channel.converged());
+
+  EXPECT_THROW(fleet.deliver_delta(-1, 1, 1, good), std::out_of_range);
+  EXPECT_THROW(fleet.deliver_delta(kMaxChannelServers, 1, 1, good),
+               std::out_of_range);
+  EXPECT_THROW(fleet.deliver_snapshot(-1, 1, 0, good.upserts),
+               std::out_of_range);
+  EXPECT_TRUE(fleet.servers().empty());
+  EXPECT_EQ(fleet.table(-1), nullptr);
+  EXPECT_EQ(fleet.checksum(-1), pacer_config_checksum({}));
+
+  channel.ship({good});
+  events.run_all();
+  EXPECT_TRUE(channel.converged());
+  EXPECT_EQ(channel.shadow_servers(), std::vector<int>{3});
+  EXPECT_EQ(fleet.servers(), std::vector<int>{3});
+  EXPECT_EQ(fleet.checksum(3), pacer_config_checksum(good.upserts));
+}
+
+TEST(ControlChannel, SchedulesTypedEventsNotCallbacks) {
+  // Deliveries, acks, ack timeouts, retries, repairs and the periodic
+  // sweep all ride typed events; none allocates a std::function slot.
+  EventQueue events;
+  PacerAgentFleet fleet;
+  ChannelConfig ccfg;
+  ccfg.drop_rate = 0.4;
+  ccfg.retry.max_attempts = 2;
+  ccfg.anti_entropy_period = 1 * kMsec;
+  ccfg.seed = 9;
+  ControlChannel channel(events, fleet, ccfg);
+  SiloController ctl(small_dc());
+  Rng rng(9);
+  for (int i = 0; i < 12; ++i) ctl.admit(sample_request(rng));
+  channel.ship(ctl.drain_config_deltas());
+  events.run_until(20 * kMsec);
+  channel.set_drop_rate(0);
+  events.run_until(40 * kMsec);
+
+  expect_fleet_matches(ctl, fleet, channel);
+  const auto& m = channel.metrics();
+  EXPECT_GT(m.value("controller.channel.retries"), 0);
+  EXPECT_GT(m.value("controller.channel.desyncs_repaired"), 0);
+  EXPECT_GT(events.processed(), 100u);
+  EXPECT_EQ(events.callback_events(), 0u);
+}
+
 TEST(ControlChannel, LossyChannelRetriesThenAntiEntropyRepairs) {
   EventQueue events;
   PacerAgentFleet fleet;
@@ -393,6 +550,161 @@ TEST(ControlChannel, FaultPlanDrivesChannelLossWindows) {
   sim.run_until(3 * kMsec);
   EXPECT_DOUBLE_EQ(channel.drop_rate(), 0.0);
   EXPECT_EQ(chaos.executed(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin of the whole channel protocol under a seeded lossy storm.
+// Every event time, tie-break and Rng draw of the channel feeds one of the
+// pinned values, so any change to how the channel stores or schedules its
+// messages must reproduce them bit for bit.
+
+PacerConfigRecord storm_record(std::int64_t tenant, int vm, int server) {
+  PacerConfigRecord rec;
+  rec.tenant = tenant;
+  rec.vm_index = vm;
+  rec.server = server;
+  rec.guarantee = {(200 + 10 * vm) * kMbps, Bytes{3000 + vm}, 2 * kMsec,
+                   1 * kGbps};
+  rec.peers = {{vm + 1, server}, {vm + 2, 5}};
+  return rec;
+}
+
+TEST(ControlChannel, SeededLossyStormIsBitIdentical) {
+  EventQueue events;
+  PacerAgentFleet fleet;
+  std::uint64_t hook_fold = 1469598103934665603ull;
+  const auto fold = [](std::uint64_t& h, std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  fleet.set_apply_hook([&](int server, const PacerConfigDelta& d) {
+    fold(hook_fold, static_cast<std::uint64_t>(server));
+    fold(hook_fold, d.removes.size());
+    fold(hook_fold, d.upserts.size());
+  });
+  ChannelConfig ccfg;
+  ccfg.drop_rate = 0.3;
+  ccfg.delivery_jitter = 40 * kUsec;
+  ccfg.anti_entropy_period = 1 * kMsec;
+  ccfg.retry.max_attempts = 3;  // some sends are abandoned to anti-entropy
+  ccfg.seed = 2028;
+  ControlChannel channel(events, fleet, ccfg);
+
+  // A 32,000-server controller, so sparse server ids up to 31,999 exist.
+  topology::TopologyConfig topo;
+  topo.pods = 2;
+  topo.racks_per_pod = 16;
+  topo.servers_per_rack = 1000;
+  topo.vm_slots_per_server = 4;
+  std::optional<SiloController> ctl;
+  ctl.emplace(topo);
+  DeltaJournal journal;
+  ctl->attach_journal(&journal, /*snapshot_every=*/8);
+
+  // Hand-built deltas to sparse servers ride along until the restart: a
+  // chain of replacements per server, a remove of a never-present key, and
+  // a lease granted dead on arrival.
+  const int sparse[] = {0, 7, 31'999};
+  int hand = 0;
+  const auto ship_hand_built = [&] {
+    PacerConfigDelta d;
+    d.server = sparse[hand % 3];
+    if (hand >= 3) d.removes.emplace_back(1'000'000 + hand - 3, (hand - 3) % 2);
+    if (hand == 5) d.removes.emplace_back(2'000'000, 0);  // stale remove
+    d.upserts.push_back(storm_record(1'000'000 + hand, hand % 2, d.server));
+    if (hand == 4) {
+      d.lease_epoch = 3;
+      PacerLeaseRecord lease;
+      lease.id = 77;
+      lease.server = d.server;
+      lease.expiry_epoch = 2;  // already dead at epoch 3
+      d.lease_upserts.push_back(lease);
+    }
+    ++hand;
+    channel.ship({d});
+  };
+
+  Rng storm(31);
+  std::vector<TenantHandle> live;
+  bool restarted = false;
+  const auto storm_op = [&](int i) {
+    const auto roll = storm.uniform_int(0, 9);
+    if (roll < 6 || live.empty()) {
+      if (const auto h = ctl->admit(sample_request(storm))) live.push_back(*h);
+    } else if (roll < 9) {
+      const auto k = static_cast<std::size_t>(
+          storm.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      ctl->release(live[k]);
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      const int anchor = live.front().vm_to_server.front();
+      if (anchor >= 0) {
+        ctl->handle_server_failure(anchor);
+        ctl->restore_server(anchor);
+        for (auto& handle : live)
+          handle.vm_to_server = ctl->tenant_placement(handle.id);
+      }
+    }
+    channel.ship(ctl->drain_config_deltas());
+    if (!restarted && i % 3 == 0) ship_hand_built();
+  };
+  for (int i = 0; i < 60; ++i)
+    events.at(TimeNs{200'000} * (i + 1), [&, i] { storm_op(i); });
+  // The restart lands 1 ns after an op whose epoch-1 deltas are still in
+  // flight, and repairs at once: some agents see epoch 2 first.
+  events.at(5'600'001 * TimeNs{1}, [&] {
+    journal = DeltaJournal::deserialize(journal.serialize());
+    ctl.emplace(topo);
+    ctl->recover_from_journal(journal, /*snapshot_every=*/8);
+    (void)ctl->drain_config_deltas();
+    channel.restart(*ctl);
+    channel.anti_entropy_round();
+    restarted = true;
+  });
+  events.at(30 * kMsec, [&] { channel.set_drop_rate(0); });
+  events.run_until(80 * kMsec);
+
+  ASSERT_TRUE(channel.converged());
+  EXPECT_EQ(channel.epoch(), 2u);
+  for (const int s : channel.shadow_servers()) {
+    const auto want = pacer_config_checksum(ctl->server_config(s));
+    EXPECT_EQ(channel.shadow_checksum(s), want) << "server " << s;
+    EXPECT_EQ(fleet.checksum(s), want) << "server " << s;
+  }
+  const std::vector<int> agents = fleet.servers();
+  for (const int s : sparse)
+    EXPECT_TRUE(std::binary_search(agents.begin(), agents.end(), s)) << s;
+  std::uint64_t agent_fold = 1469598103934665603ull;
+  for (const int s : agents) {
+    fold(agent_fold, static_cast<std::uint64_t>(s));
+    fold(agent_fold, fleet.checksum(s));
+  }
+
+  const std::map<std::string, std::int64_t> want_metrics = {
+      {"controller.channel.shipped", 125},
+      {"controller.channel.delivered", 138},
+      {"controller.channel.applied", 103},
+      {"controller.channel.dropped", 91},
+      {"controller.channel.retries", 89},
+      {"controller.channel.abandoned", 7},
+      {"controller.channel.duplicates", 15},
+      {"controller.channel.gaps", 18},
+      {"controller.channel.stale_epoch", 2},
+      {"controller.channel.stale_removes", 1},
+      {"controller.channel.lease_expired", 1},
+      {"controller.channel.desyncs_repaired", 13},
+      {"controller.channel.anti_entropy_rounds", 80},
+      {"controller.channel.convergence_ns", 9545495},
+  };
+  std::map<std::string, std::int64_t> got_metrics;
+  for (const auto& sample : channel.metrics().snapshot())
+    got_metrics[sample.name] = sample.value;
+  EXPECT_EQ(got_metrics, want_metrics);
+  EXPECT_EQ(channel.last_convergence_delay().count(), 9'545'495);
+  EXPECT_EQ(events.processed(), 674u);
+  EXPECT_EQ(agent_fold, 15011642988140807544ull);
+  EXPECT_EQ(hook_fold, 5904311919139878863ull);
 }
 
 // ---------------------------------------------------------------------------
