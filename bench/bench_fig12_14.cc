@@ -13,8 +13,12 @@
 //             by >1x / >2x / >8x
 //   Fig 14  - class-B message latency normalized to its estimate
 //
-// Scaled from the paper's 3200 VMs to an 80-VM fabric (tunable via
-// flags); the comparison shape, not absolute scale, is the target.
+// Scaled from the paper's 3,200 VMs (10 racks x 40 servers x 8 VMs, 1:5
+// oversubscription) to ExpConfig's fixed fabric: 2 pods x 2 racks x 8
+// servers x 4 slots = 128 slots, oversubscription 2.5, 312 KB port
+// buffers. No flag changes the topology (a paper-scale preset is an open
+// ROADMAP.md item); the comparison shape, not absolute scale, is the
+// target.
 #include <chrono>
 #include <memory>
 #include <vector>

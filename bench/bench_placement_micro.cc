@@ -6,9 +6,11 @@
 // implementation plus admission statistics.
 //
 // Ablation: --policy=oktopus / --policy=locality time the baselines'
-// admission logic on the same request stream.
+// admission logic on the same request stream (default --policy=silo; any
+// other value prints a usage line and exits 2).
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -46,9 +48,19 @@ int main(int argc, char** argv) {
   const double mean_vms = flags.get("mean-vms", 49.0);
   const double occupancy_cap = flags.get("occupancy", 0.90);
 
+  const std::string policy_name = flags.gets("policy", "silo");
   Policy policy = Policy::kSilo;
-  if (flags.has("policy-oktopus")) policy = Policy::kOktopus;
-  if (flags.has("policy-locality")) policy = Policy::kLocality;
+  if (policy_name == "oktopus") {
+    policy = Policy::kOktopus;
+  } else if (policy_name == "locality") {
+    policy = Policy::kLocality;
+  } else if (policy_name != "silo") {
+    std::fprintf(stderr,
+                 "bench_placement_micro: --policy must be silo, oktopus or "
+                 "locality (got '%s')\n",
+                 policy_name.c_str());
+    return 2;
+  }
 
   topology::TopologyConfig tcfg;
   tcfg.pods = 25;
@@ -63,7 +75,8 @@ int main(int argc, char** argv) {
       "Placement microbenchmark (§5): 100K hosts, ~49-VM tenants",
       "Wall-clock time of admission control + placement per request.\n"
       "Ablation: --no-hose-tighten uses the naive m*B aggregate instead\n"
-      "of the hose-model min(m, N-m)*B bound of §4.2.2.");
+      "of the hose-model min(m, N-m)*B bound of §4.2.2; --policy=oktopus\n"
+      "or --policy=locality times a baseline's admission instead.");
 
   Rng rng(7);
   Stats micros;
@@ -93,6 +106,7 @@ int main(int argc, char** argv) {
   }
 
   TextTable table({"Metric", "Value"});
+  table.add_row({"policy", policy_name});
   table.add_row({"requests", std::to_string(attempted)});
   table.add_row({"admitted", TextTable::fmt(
                                  100.0 * static_cast<double>(admitted) /
@@ -111,6 +125,7 @@ int main(int argc, char** argv) {
   if (flags.has("json")) {
     bench::JsonObject out;
     out.put("bench", std::string("placement_micro"))
+        .put("policy", policy_name)
         .put("requests", static_cast<std::int64_t>(attempted))
         .put("admitted", static_cast<std::int64_t>(admitted))
         .put("mean_us", micros.mean())
@@ -132,9 +147,7 @@ int main(int argc, char** argv) {
   m.params = {{"requests", std::to_string(requests)},
               {"mean_vms", TextTable::fmt(mean_vms, 1)},
               {"occupancy", TextTable::fmt(occupancy_cap, 2)},
-              {"policy", policy == Policy::kSilo        ? "silo"
-                         : policy == Policy::kOktopus   ? "oktopus"
-                                                        : "locality"}};
+              {"policy", policy_name}};
   bench::maybe_write_manifest(flags, m);
   return 0;
 }

@@ -13,6 +13,13 @@ double rate_limit(const topology::Port& p) {
   return p.rate.bps() * (1.0 + PlacementEngine::kRateEps);
 }
 
+// Whether a contribution reserves capacity. A dead port refuses those;
+// zero-reservation probes (best-effort tenants) pass so degraded
+// placement stays feasible.
+bool reserves(const PortContribution& c) {
+  return c.rate_bps > 0 || c.burst_bytes > 0;
+}
+
 enum class PortKind {
   kServerUp,
   kServerDown,
@@ -45,6 +52,12 @@ PlacementEngine::PlacementEngine(const topology::Topology& topo, Policy policy,
   server_failed_.assign(static_cast<std::size_t>(topo.num_servers()), 0);
   quarantined_slots_.assign(static_cast<std::size_t>(topo.num_servers()), 0);
   port_failed_.assign(static_cast<std::size_t>(topo.num_ports()), 0);
+  nic_base_ = topo.server_up(0).value;
+  tor_base_ = topo.server_down(0).value;
+  const auto& access = topo.port(topo.server_up(0));
+  access_rate_limit_ = rate_limit(access);
+  access_rate_ = access.rate;
+  access_queue_capacity_ = access.queue_capacity;
 
   // Shard layout: racks own their servers' ports, pods their racks' ports,
   // one core shard owns the pod ports. Every port has exactly one owner.
@@ -335,11 +348,7 @@ PortContribution PlacementEngine::cut_contribution(const TenantRequest& req,
 }
 
 bool PlacementEngine::port_admits(int port, const PortContribution& c) const {
-  // A dead port cannot honor a reservation; zero-reservation probes
-  // (best-effort tenants) pass so degraded placement stays feasible.
-  if (port_failed_[static_cast<std::size_t>(port)] &&
-      (c.rate_bps > 0 || c.burst_bytes > 0))
-    return false;
+  if (port_failed_[static_cast<std::size_t>(port)] && reserves(c)) return false;
   if (policy_ == Policy::kLocality) return true;
   const auto id = topology::PortId{port};
   const auto& p = topo_.port(id);
@@ -415,45 +424,76 @@ int PlacementEngine::vms_on(const TenantRequest& req, int server, int cap,
       req.tenant_class == TenantClass::kBestEffort || cap >= req.num_vms)
     return cap;
   if (cap > nic_filled_) fill_nic_row(req, cap);
-  const topology::PortId up = topo_.server_up(server);
+  const auto up = static_cast<std::size_t>(nic_base_ + server);
+  const auto down = static_cast<std::size_t>(tor_base_ + server);
+  const PortLoad& up_load = port_load_[up];
   // Exact NIC pre-filter: the cheapest probe's rate already overflows the
   // NIC, and fl(a + x) is monotone in x, so port_admits' rate check fails
   // for every m <= cap.
-  if (port_load_[static_cast<std::size_t>(up.value)].rate_bps() +
-          nic_min_rate_[static_cast<std::size_t>(cap)] >
-      rate_limit(topo_.port(up)))
+  if (up_load.rate_bps() + nic_min_rate_[static_cast<std::size_t>(cap)] >
+      access_rate_limit_)
     return 0;
-  const int down = topo_.server_down(server).value;
+  // port_admits for both access ports, inlined: a failed port refuses any
+  // reservation, the NIC checks rate only (the pacer absorbs bursts before
+  // the wire), and the ToR port also checks the queue bound under Silo.
+  const PortLoad& down_load = port_load_[down];
+  const bool up_failed = port_failed_[up] != 0;
+  const bool down_failed = port_failed_[down] != 0;
   for (int m = cap; m >= 1; --m) {
-    if (port_admits(up.value, nic_row_[static_cast<std::size_t>(m)]) &&
-        port_admits(down, tor_entry(req, scope, m)))
-      return m;
+    const PortContribution& nic = nic_row_[static_cast<std::size_t>(m)];
+    if ((up_failed && reserves(nic)) ||
+        up_load.rate_bps() + nic.rate_bps > access_rate_limit_)
+      continue;
+    const PortContribution& tor = tor_entry(req, scope, m);
+    if ((down_failed && reserves(tor)) ||
+        down_load.rate_bps() + tor.rate_bps > access_rate_limit_)
+      continue;
+    if (policy_ == Policy::kOktopus) return m;
+    const TimeNs bound = down_load.queue_bound(access_rate_, &tor);
+    if (bound >= TimeNs{0} && bound <= access_queue_capacity_) return m;
   }
   return 0;
 }
 
 std::optional<PlacementEngine::CountMap> PlacementEngine::pack_servers(
-    const TenantRequest& req, Scope scope) {
+    const TenantRequest& req, Scope scope, int first_rack, int end_rack,
+    int free_ahead) {
   CountMap counts;
   int remaining = req.num_vms;
   // Fault domains (§4.2.3): capping each server at ceil(n/d) VMs forces
   // the tenant across at least d servers.
   const int domains = std::max(1, req.min_fault_domains);
   const int domain_cap = (req.num_vms + domains - 1) / domains;
-  for (int s : scan_) {
-    if (remaining == 0) break;
-    const int cap =
-        std::min({free_slots_[s], remaining, domain_cap});
-    const int m = mode_ == AdmissionMode::kFullRescan
-                      ? rescan_vms_on(req, s, cap, scope)
-                      : vms_on(req, s, cap, scope);
-    if (m > 0) {
+  // The oracle walks every server, so the storms catch a wrong cutoff.
+  const bool cutoff = mode_ == AdmissionMode::kIncremental;
+  const int per_rack = topo_.config().servers_per_rack;
+  for (int r = first_rack; r < end_rack; ++r) {
+    if (free_slots_rack_[static_cast<std::size_t>(r)] == 0) continue;
+    const int first = topo_.first_server_of_rack(r);
+    for (int s = first; s < first + per_rack; ++s) {
+      const int slots = free_slots_[static_cast<std::size_t>(s)];
+      if (slots == 0) continue;
+      // free_ahead counts this server's free slots and those of every
+      // server after it. No server takes more than its free slots, so once
+      // the VMs still to place exceed it, the rest of the walk must fail.
+      if (cutoff && remaining > free_ahead) return std::nullopt;
+      free_ahead -= slots;
+      const int cap = std::min({slots, remaining, domain_cap});
+      const int m = cutoff ? vms_on(req, s, cap, scope)
+                           : rescan_vms_on(req, s, cap, scope);
+      if (m == 0) continue;
       counts.emplace_back(s, m);
       remaining -= m;
+      if (remaining == 0) return counts;
     }
   }
-  if (remaining > 0) return std::nullopt;
-  return counts;
+#ifdef SILO_AUDIT
+  // A walk that reached the end of its range has passed every free slot
+  // the scope's aggregate counted, no more and no fewer.
+  if (free_ahead != 0)
+    throw std::logic_error("PlacementEngine: walk and free-slot total differ");
+#endif
+  return std::nullopt;
 }
 
 std::vector<std::pair<int, PortContribution>>
@@ -470,24 +510,43 @@ PlacementEngine::tenant_contributions(const TenantRequest& req,
   auto push = [&](topology::PortId id, int m_side, PortKind kind) {
     const auto c = cut_contribution(
         req, m_side, upstream_capacity(static_cast<int>(kind), scope), link);
-    if (c.rate_bps > 0 || c.burst_bytes > 0)
-      out.emplace_back(id.value, c);
+    if (reserves(c)) out.emplace_back(id.value, c);
   };
 
-  std::map<int, int> per_rack, per_pod;
+  // VMs per rack or per pod, ascending by index (the order the ports are
+  // listed in). Packing lists servers in id order, so each count appends
+  // or bumps the last entry.
+  const auto tally = [&counts](auto key_of) {
+    std::vector<std::pair<int, int>> v;
+    v.reserve(counts.size());
+    for (const auto& [server, m] : counts) {
+      const int key = key_of(server);
+#ifdef SILO_AUDIT
+      if (!v.empty() && v.back().first > key)
+        throw std::logic_error("PlacementEngine: counts not in server order");
+#endif
+      if (!v.empty() && v.back().first == key)
+        v.back().second += m;
+      else
+        v.emplace_back(key, m);
+    }
+    return v;
+  };
   for (const auto& [server, m] : counts) {
     push(topo_.server_up(server), m, PortKind::kServerUp);
     push(topo_.server_down(server), n - m, PortKind::kServerDown);
-    per_rack[topo_.rack_of_server(server)] += m;
-    per_pod[topo_.pod_of_server(server)] += m;
   }
   if (scope >= Scope::kPod) {
+    const auto per_rack =
+        tally([this](int server) { return topo_.rack_of_server(server); });
     for (const auto& [rack, m] : per_rack) {
       push(topo_.rack_up(rack), m, PortKind::kRackUp);
       push(topo_.rack_down(rack), n - m, PortKind::kRackDown);
     }
   }
   if (scope >= Scope::kDatacenter && topo_.num_pods() > 1) {
+    const auto per_pod =
+        tally([this](int server) { return topo_.pod_of_server(server); });
     for (const auto& [pod, m] : per_pod) {
       push(topo_.pod_up(pod), m, PortKind::kPodUp);
       push(topo_.pod_down(pod), n - m, PortKind::kPodDown);
@@ -508,44 +567,25 @@ bool PlacementEngine::validate_candidate(const TenantRequest& req,
 
 std::optional<PlacementEngine::CountMap> PlacementEngine::try_scope(
     const TenantRequest& req, Scope scope, int anchor) {
-  const auto& cfg = topo_.config();
-  auto& servers = scan_;
-  servers.clear();
-  switch (scope) {
-    case Scope::kServer: {
-      if (req.min_fault_domains > 1) return std::nullopt;
-      if (free_slots_[anchor] < req.num_vms) return std::nullopt;
-      return CountMap{{anchor, req.num_vms}};
-    }
-    case Scope::kRack: {
-      const int first = topo_.first_server_of_rack(anchor);
-      for (int i = 0; i < cfg.servers_per_rack; ++i)
-        if (free_slots_[first + i] > 0) servers.push_back(first + i);
-      break;
-    }
-    case Scope::kPod: {
-      const int first_rack = topo_.first_rack_of_pod(anchor);
-      for (int r = 0; r < cfg.racks_per_pod; ++r) {
-        if (free_slots_rack_[first_rack + r] == 0) continue;  // rack full
-        const int first = topo_.first_server_of_rack(first_rack + r);
-        for (int i = 0; i < cfg.servers_per_rack; ++i)
-          if (free_slots_[first + i] > 0) servers.push_back(first + i);
-      }
-      break;
-    }
-    case Scope::kDatacenter: {
-      for (int r = 0; r < topo_.num_racks(); ++r) {
-        if (free_slots_rack_[r] == 0) continue;  // rack full: skip 40 probes
-        const int first = topo_.first_server_of_rack(r);
-        for (int i = 0; i < cfg.servers_per_rack; ++i)
-          if (free_slots_[first + i] > 0) servers.push_back(first + i);
-      }
-      break;
-    }
+  if (scope == Scope::kServer) {
+    if (req.min_fault_domains > 1 || free_slots_[anchor] < req.num_vms)
+      return std::nullopt;
+    return CountMap{{anchor, req.num_vms}};
   }
-  auto counts = pack_servers(req, scope);
-  if (!counts) return std::nullopt;
-  if (!validate_candidate(req, *counts, scope)) return std::nullopt;
+  // The scope's racks and their free slots: the anchor rack, the anchor
+  // pod's racks, or every rack.
+  int first_rack = 0, racks = topo_.num_racks(), slots = free_slots_total_;
+  if (scope == Scope::kRack) {
+    first_rack = anchor;
+    racks = 1;
+    slots = free_slots_rack_[static_cast<std::size_t>(anchor)];
+  } else if (scope == Scope::kPod) {
+    first_rack = topo_.first_rack_of_pod(anchor);
+    racks = topo_.config().racks_per_pod;
+    slots = free_slots_pod_[static_cast<std::size_t>(anchor)];
+  }
+  auto counts = pack_servers(req, scope, first_rack, first_rack + racks, slots);
+  if (!counts || !validate_candidate(req, *counts, scope)) return std::nullopt;
   return counts;
 }
 
@@ -660,8 +700,16 @@ void PlacementEngine::remove(TenantId id) {
     touch_port(port);
   }
   if (mode_ == AdmissionMode::kIncremental) {
+    // Index lists are sorted (monotonic ids, ascending restore).
     auto drop = [id](std::vector<TenantId>& list) {
-      list.erase(std::find(list.begin(), list.end(), id));
+      const auto at = std::lower_bound(list.begin(), list.end(), id);
+      if (at != list.end() && *at == id) {
+        list.erase(at);
+        return;
+      }
+#ifdef SILO_AUDIT
+      throw std::logic_error("PlacementEngine: tenant missing from an index");
+#endif
     };
     for (const auto& [server, count] : it->second.slot_usage)
       drop(tenants_by_server_[static_cast<std::size_t>(server)]);

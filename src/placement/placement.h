@@ -42,10 +42,13 @@ enum class Scope { kServer = 0, kRack = 1, kPod = 2, kDatacenter = 3 };
 /// rack/pod/DC and maintains per-server and per-port tenant indexes, so an
 /// admit or release touches only the shards on the tenant's placement
 /// path. Its packing reads each access-port contribution from a
-/// per-request probe table and skips servers whose NIC cannot carry even
-/// the cheapest probe. kFullRescan is the reference baseline: after every
-/// mutation it recomputes all port loads from the tenant map, answers
-/// index queries by scanning every tenant, and re-derives both access-port
+/// per-request probe table, checks both access ports against per-level
+/// constants, skips servers whose NIC cannot carry even the cheapest
+/// probe, and abandons a scope as soon as the free slots left in its walk
+/// cannot hold the VMs still to place. kFullRescan is the reference
+/// baseline: after every mutation it recomputes all port loads from the
+/// tenant map, answers index queries by scanning every tenant, walks every
+/// server of a scope with no cutoff, and re-derives both access-port
 /// contributions on every (server, VM count) probe — the costs the
 /// incremental path replaces. Both modes make bit-identical placement
 /// decisions.
@@ -183,11 +186,16 @@ class PlacementEngine {
   // Per-server VM counts for a candidate placement.
   using CountMap = std::vector<std::pair<int, int>>;  // (server, count)
 
-  /// Collects the scope's candidate servers into scan_, then packs them.
+  /// Packs and validates the scope around `anchor` (a server, rack or pod
+  /// index; unused at datacenter scope).
   std::optional<CountMap> try_scope(const TenantRequest& req, Scope scope,
-                                    int anchor_server);
-  /// First-fit over scan_; nullopt when the servers cannot hold the tenant.
-  std::optional<CountMap> pack_servers(const TenantRequest& req, Scope scope);
+                                    int anchor);
+  /// First-fit over the servers of racks [first_rack, end_rack) in id
+  /// order, skipping full racks and servers; `free_ahead` is the range's
+  /// free-slot total. nullopt when the servers cannot hold the tenant.
+  std::optional<CountMap> pack_servers(const TenantRequest& req, Scope scope,
+                                       int first_rack, int end_rack,
+                                       int free_ahead);
   /// VMs (largest first, at most `cap`) that `server` can host under both
   /// access-port checks; 0 when none. vms_on answers from the probe table
   /// behind the NIC pre-filter, rescan_vms_on (kFullRescan, the oracle)
@@ -253,6 +261,17 @@ class PlacementEngine {
   std::map<TenantId, TenantRecord> tenants_;
   TenantId next_id_ = 0;
 
+  // Access ports (server NIC egress, ToR-to-server) as vms_on reads them:
+  // each kind is one block of port ids indexed by server, and Topology
+  // builds every one of them alike (server link rate, level 0) and never
+  // changes a port, so one rate limit, service rate and queue capacity
+  // serve them all.
+  int nic_base_ = 0;  ///< PortId value of server 0's NIC egress
+  int tor_base_ = 0;  ///< PortId value of server 0's ToR-to-server port
+  double access_rate_limit_ = 0;
+  RateBps access_rate_{};
+  TimeNs access_queue_capacity_{};
+
   // --- Sharded derived state (incremental mode) --------------------------
   // Shard layout: one shard per rack (owning its servers' NIC/ToR ports),
   // one per pod (owning its racks' up/down ports), one for the DC core
@@ -289,7 +308,6 @@ class PlacementEngine {
   std::vector<PortContribution> nic_row_;
   std::vector<double> nic_min_rate_;  ///< prefix minimum of nic_row_ rates
   std::array<std::vector<ProbeEntry>, 4> tor_rows_;  // indexed by Scope
-  std::vector<int> scan_;  ///< try_scope's candidate servers, reused
 };
 
 }  // namespace silo::placement

@@ -385,13 +385,14 @@ TEST(Placement, IncrementalModeMatchesFullRescanUnderChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// Saturation storm: the probe table and the exact NIC pre-filter against
-// kFullRescan's per-probe loop, on a fabric where the filter really fires.
-// Three pods, so rejections scan up to datacenter scope; flowsim's
-// bandwidth law (exponential, clamped to [link/100, link/2]), so NICs
-// saturate; best-effort and multi-domain requests; servers and ports that
-// stay failed across several operations. CI varies the seed window via
-// SOAK_SEED_BASE; a failure names the seed.
+// Saturation storm: the scope walk, its free-slot cutoff, the probe table,
+// the flat access-port check and the exact NIC pre-filter against
+// kFullRescan's per-probe loop (no cutoff), on a fabric where the filter
+// really fires. Three pods, so rejections scan up to datacenter scope;
+// flowsim's bandwidth law (exponential, clamped to [link/100, link/2]), so
+// NICs saturate; best-effort and multi-domain requests; servers and ports
+// that stay failed across several operations. CI varies the seed window
+// via SOAK_SEED_BASE; a failure names the seed.
 
 std::uint64_t storm_seed_base() {
   const char* env = std::getenv("SOAK_SEED_BASE");
@@ -399,11 +400,53 @@ std::uint64_t storm_seed_base() {
   return 20261017ull;  // fixed default: the tier-1 run stays deterministic
 }
 
+// Test-side first-fit model of locality placement: the narrowest scope
+// (server, rack, pod, datacenter) whose servers, in id order and each
+// capped by its free slots and the fault-domain cap, hold the tenant.
+// Locality checks no port, so the model pins the engine's scope walks
+// (their server ranges, skips and cutoff) independently of both modes.
+template <typename FreeOn>
+std::optional<std::vector<int>> model_locality(
+    const topology::TopologyConfig& cfg, const TenantRequest& req,
+    const FreeOn& free_on) {
+  const int n = req.num_vms;
+  const int domains = std::max(1, req.min_fault_domains);
+  const int domain_cap = (n + domains - 1) / domains;
+  const int spr = cfg.servers_per_rack;
+  const int racks = cfg.pods * cfg.racks_per_pod;
+  if (domains == 1) {
+    for (int s = 0; s < racks * spr; ++s)
+      if (free_on(s) >= n)
+        return std::vector<int>(static_cast<std::size_t>(n), s);
+  }
+  const auto fit = [&](int first,
+                       int count) -> std::optional<std::vector<int>> {
+    std::vector<int> out;
+    for (int s = first; s < first + count; ++s) {
+      const int m = std::min({free_on(s), n - static_cast<int>(out.size()),
+                              domain_cap});
+      out.insert(out.end(), static_cast<std::size_t>(m), s);
+      if (static_cast<int>(out.size()) == n) return out;
+    }
+    return std::nullopt;
+  };
+  for (int r = 0; r < racks; ++r)
+    if (auto v = fit(r * spr, spr)) return v;
+  for (int p = 0; p < cfg.pods; ++p)
+    if (auto v = fit(p * cfg.racks_per_pod * spr, cfg.racks_per_pod * spr))
+      return v;
+  return fit(0, racks * spr);
+}
+
 struct StormCounts {
   int admitted = 0;
   int cross_pod = 0;      ///< admitted placements spanning pods
   int nic_pressure = 0;   ///< place() calls the pre-filter can act on
   int boundary_hits = 0;  ///< ... admitted onto the threshold server
+  /// Rejections while the datacenter still had >= n free slots: each one
+  /// walked scopes whose slots could hold the tenant, where the cutoff
+  /// acts once the servers passed leave too few.
+  int walked_rejections = 0;
 };
 
 // One seeded storm through an incremental engine and the kFullRescan
@@ -456,10 +499,21 @@ void run_saturation_storm(Policy policy, bool hose_tightening,
         }
       }
     }
+    const bool slots_fit = req.num_vms <= inc.free_slots();
+    const auto model = policy == Policy::kLocality
+                           ? model_locality(cfg, req, free_on)
+                           : std::nullopt;
     last = inc.place(req);
     const auto& a = last;
     const auto b = full.place(req);
     ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+    if (policy == Policy::kLocality) {
+      ASSERT_EQ(a.has_value(), model.has_value()) << "step " << step;
+      if (a) {
+        ASSERT_EQ(a->vm_to_server, *model) << "step " << step;
+      }
+    }
+    if (!a && slots_fit) ++counts.walked_rejections;
     if (!a) return;
     ASSERT_EQ(a->id, b->id) << "step " << step;
     ASSERT_EQ(a->vm_to_server, b->vm_to_server) << "step " << step;
@@ -552,11 +606,16 @@ void expect_storms_match(Policy policy, bool hose_tightening) {
         run_saturation_storm(policy, hose_tightening, seed, counts));
   }
   // The storms must keep exercising what they pin: admissions that span
-  // pods (datacenter-scope scans) and guaranteed requests meeting a server
-  // with free slots whose NIC headroom is below their B.
+  // pods (datacenter-scope scans), rejections that walk scopes with enough
+  // free slots, and guaranteed requests meeting a server with free slots
+  // whose NIC headroom is below their B (locality reserves nothing, so
+  // its NICs stay idle).
   EXPECT_GT(counts.admitted, 100);
   EXPECT_GT(counts.cross_pod, 0);
-  EXPECT_GT(counts.nic_pressure, 50);
+  EXPECT_GT(counts.walked_rejections, 0);
+  if (policy != Policy::kLocality) {
+    EXPECT_GT(counts.nic_pressure, 50);
+  }
   if (policy == Policy::kOktopus) {
     EXPECT_GT(counts.boundary_hits, 0);
   }
@@ -572,6 +631,10 @@ TEST(PlacementSoak, OktopusSaturationStormMatchesFullRescan) {
 
 TEST(PlacementSoak, SiloWithoutHoseTighteningMatchesFullRescan) {
   expect_storms_match(Policy::kSilo, false);
+}
+
+TEST(PlacementSoak, LocalitySaturationStormMatchesFullRescan) {
+  expect_storms_match(Policy::kLocality, true);
 }
 
 }  // namespace
