@@ -1,5 +1,5 @@
 // Control-plane churn storm: admission/release/fail/restore throughput of
-// the sharded incremental placement + pacer-config diff path versus the
+// the incremental placement + pacer-config diff path versus the
 // full-recompute reference, at 1K / 8K / 32K servers.
 //
 // Both modes run the *identical* seeded op sequence; the bench checks the
@@ -351,7 +351,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Control-plane churn storm: incremental vs full-recompute admission",
       "Seeded admit/release/fail/restore mix against SiloController in\n"
-      "kIncremental (sharded port loads, cached headroom, pacer-config\n"
+      "kIncremental (in-place port loads, tenant indexes, pacer-config\n"
       "deltas) and kFullRescan (rebuild-everything reference) modes.\n"
       "Identical op sequences; decisions and configs must checksum-match.");
 

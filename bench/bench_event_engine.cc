@@ -29,7 +29,7 @@
 #include <string>
 // hardware_concurrency() gates the parallel speedup acceptance check; no
 // threads are created here — the executor lives in src/par.
-#include <thread>  // silo-lint: allow(banned-include)
+#include <thread>  // silo-analyze: allow(banned-include)
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -181,7 +181,8 @@ ClusterResult run_cluster(TimeNs duration) {
   ClusterResult r;
   r.events = cluster.events().processed();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.packets = static_cast<std::uint64_t>(cluster.events().pool().total_allocs());
+  r.packets =
+      static_cast<std::uint64_t>(cluster.events().pool().total_allocs());
   r.pool_capacity = cluster.events().pool().capacity();
   r.pool_peak_live = cluster.events().pool().peak_live();
   r.callback_events = cluster.events().callback_events();
@@ -279,9 +280,9 @@ ParallelRow run_parallel_cluster(const ParallelParams& pp, int threads) {
   std::uint64_t busiest = 0;
   for (int i = 0; i < row.islands; ++i)
     busiest = std::max(busiest, cluster.island_processed(i));
-  row.busiest_share =
-      row.events ? static_cast<double>(busiest) / static_cast<double>(row.events)
-                 : 0.0;
+  row.busiest_share = row.events ? static_cast<double>(busiest) /
+                                       static_cast<double>(row.events)
+                                 : 0.0;
   return row;
 }
 
@@ -353,7 +354,8 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------- parallel phase
   ParallelParams pp;
   pp.pods = static_cast<int>(flags.geti("par-pods", pp.pods));
-  pp.racks_per_pod = static_cast<int>(flags.geti("par-racks", pp.racks_per_pod));
+  pp.racks_per_pod =
+      static_cast<int>(flags.geti("par-racks", pp.racks_per_pod));
   pp.servers_per_rack =
       static_cast<int>(flags.geti("par-servers", pp.servers_per_rack));
   pp.duration = flags.geti("par-duration-ms", 2) * kMsec;

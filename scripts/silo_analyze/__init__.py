@@ -1,13 +1,14 @@
-"""silo-analyze: multi-pass project analyzer for the Silo repo.
+"""silo-analyze: the Silo repo's static analyzer.
 
-Four passes over a real tokenizer + include graph (scripts/silo_lint.py
-keeps the per-line determinism rules; this package owns everything that
-needs structure):
+Five passes over one lexer, one suppression syntax and one rule catalog:
 
+  lint          per-line determinism and hot-path rules over src/, bench/,
+                tests/ and examples/
   layers        module layer-DAG enforcement against layers.json
   shared-state  mutable-shared-state census (emits shared_state.json)
   dispatch      enum/struct dispatch- and serializer-exhaustiveness
-  metrics       metric literals vs. the OBSERVABILITY.md catalog
+  docs          metric catalog, relative markdown links, and the rule
+                catalog against DESIGN.md
 
 Run `python3 scripts/silo_analyze --help` for the CLI.
 """

@@ -2,7 +2,7 @@
 
 Usage:
   python3 scripts/silo_analyze                      # all passes, exit 1 on findings
-  python3 scripts/silo_analyze --pass layers --pass metrics
+  python3 scripts/silo_analyze --pass lint --pass docs
   python3 scripts/silo_analyze --shared-state-out=shared_state.json
   python3 scripts/silo_analyze --list-rules         # rule catalog (id: summary)
   python3 scripts/silo_analyze --self-test          # embedded fixture corpus
@@ -23,49 +23,16 @@ if __package__ in (None, ""):  # `python3 scripts/silo_analyze` execution
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     __package__ = "silo_analyze"
 
-from . import dispatch, layers, metrics_docs, selftest, shared_state
+from . import selftest, shared_state
 from .base import Repo
-
-RULES = [
-    (layers.RULE_DAG,
-     "module include edge not declared in the layer manifest "
-     "(scripts/silo_analyze/layers.json), manifest cycle, or stale edge"),
-    (layers.RULE_CYCLE,
-     "include cycle between src/ files (invisible to the compiler "
-     "behind header guards)"),
-    (shared_state.RULE_GLOBAL,
-     "mutable namespace-scope variable in src/ (process-wide shared "
-     "state; blocks the parallel-sim carve-out)"),
-    (shared_state.RULE_STATIC_LOCAL,
-     "mutable function-local static in src/ (hidden shared state plus "
-     "an init guard)"),
-    (shared_state.RULE_PTR_KEY,
-     "pointer-keyed std::map/std::set in src/ (address-ordered "
-     "iteration is allocator-dependent)"),
-    (dispatch.RULE,
-     "enum variant without a dispatch case, or protocol-struct field "
-     "not covered by its serializer/checksum/apply handler"),
-    (metrics_docs.RULE_UNDOC,
-     "metric registered in src/ but missing from the "
-     "docs/OBSERVABILITY.md catalog"),
-    (metrics_docs.RULE_UNREG,
-     "metric catalogued in docs/OBSERVABILITY.md but registered "
-     "nowhere in src/"),
-]
-
-PASSES = {
-    "layers": layers.run,
-    "shared-state": shared_state.run,
-    "dispatch": dispatch.run,
-    "metrics": metrics_docs.run,
-}
+from .passes import PASSES, rules
 
 
 def analyze(repo: Repo, pass_names: list[str]) -> tuple[list, list]:
     """Run passes; returns (violations, all census findings)."""
     findings = []
     for name in pass_names:
-        findings.extend(PASSES[name](repo))
+        findings.extend(PASSES[name].run(repo))
     repo.apply_allows(findings)
     violations = [f for f in findings if not f.allowed]
     return violations, findings
@@ -80,9 +47,9 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--self-test", action="store_true",
                     help="run the embedded fixture corpus and exit")
     ap.add_argument("--pass", dest="passes", action="append",
-                    choices=sorted(PASSES), metavar="NAME",
+                    choices=list(PASSES), metavar="NAME",
                     help="run only this pass (repeatable): "
-                         + ", ".join(sorted(PASSES)))
+                         + ", ".join(PASSES))
     ap.add_argument("--shared-state-out", metavar="PATH",
                     help="write the shared-state census JSON here")
     ap.add_argument("--root", default=None,
@@ -93,7 +60,7 @@ def main(argv: list[str]) -> int:
         return 0 if e.code == 0 else 2
 
     if args.list_rules:
-        for rule_id, summary in RULES:
+        for rule_id, summary in rules():
             print(f"{rule_id}: {summary}")
         return 0
     if args.self_test:
@@ -102,7 +69,7 @@ def main(argv: list[str]) -> int:
     root = Path(args.root) if args.root else \
         Path(__file__).resolve().parent.parent.parent
     repo = Repo.from_disk(root)
-    pass_names = args.passes or sorted(PASSES)
+    pass_names = args.passes or list(PASSES)
     violations, findings = analyze(repo, pass_names)
 
     if args.shared_state_out and "shared-state" in pass_names:

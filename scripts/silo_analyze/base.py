@@ -1,15 +1,17 @@
 """Shared infrastructure for silo-analyze passes: the repo abstraction,
 findings, and the `// silo-analyze: allow(<rule>)` suppression protocol.
 
-Suppression mirrors silo-lint: an allow comment on the offending line, or
-alone on the line immediately above, suppresses the named rule there. Every
-suppression is a reviewed, documented exception — greppable, and carried
-into shared_state.json so the census still enumerates allowed state.
+Suppression is the same for every pass: an allow comment on the offending
+line, or alone on the line immediately above, suppresses the named rule
+there. Every suppression is a reviewed, documented exception — greppable,
+and carried into shared_state.json so the census still enumerates allowed
+state.
 """
 
 from __future__ import annotations
 
 import json
+import posixpath
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +20,7 @@ ALLOW_RE = re.compile(
     r"//\s*silo-analyze:\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)")
 
 SRC_EXTENSIONS = {".h", ".cc", ".cpp", ".hpp"}
+CXX_DIRS = ("src/", "bench/", "tests/", "examples/")
 
 
 @dataclass
@@ -36,38 +39,48 @@ class Finding:
 
 @dataclass
 class Repo:
-    """The analyzer's view of the repository: a path->text mapping plus the
+    """The analyzer's view of the repository: a path->text mapping (C++
+    sources under CXX_DIRS, markdown at the root and in docs/) plus the
     layer manifest. Real runs load from disk; self-tests build synthetic
     repos, so every pass is testable without touching the filesystem."""
 
     files: dict[str, str]            # repo-relative posix path -> content
     manifest: dict | None = None     # parsed layers.json
     manifest_path: str = "scripts/silo_analyze/layers.json"
+    root: Path | None = None         # on-disk checkout; None when synthetic
     _allow_cache: dict = field(default_factory=dict)
 
     @staticmethod
     def from_disk(root: Path) -> "Repo":
-        files: dict[str, str] = {}
-        for top in ("src",):
-            base = root / top
-            if not base.is_dir():
-                continue
-            for f in sorted(base.rglob("*")):
-                if f.is_file() and f.suffix in SRC_EXTENSIONS:
-                    files[f.relative_to(root).as_posix()] = \
-                        f.read_text(errors="replace")
-        obs = root / "docs/OBSERVABILITY.md"
-        if obs.is_file():
-            files["docs/OBSERVABILITY.md"] = obs.read_text(errors="replace")
-        repo = Repo(files=files)
+        paths = [f for top in CXX_DIRS for f in sorted((root / top).rglob("*"))
+                 if f.suffix in SRC_EXTENSIONS]
+        paths += sorted(root.glob("*.md")) + sorted(root.glob("docs/*.md"))
+        repo = Repo(files={f.relative_to(root).as_posix():
+                           f.read_text(errors="replace")
+                           for f in paths if f.is_file()}, root=root)
         mf = root / repo.manifest_path
         if mf.is_file():
             repo.manifest = json.loads(mf.read_text())
         return repo
 
-    def src_files(self) -> list[str]:
+    def cxx_files(self, prefixes: tuple[str, ...]) -> list[str]:
         return [p for p in sorted(self.files)
-                if p.startswith("src/") and Path(p).suffix in SRC_EXTENSIONS]
+                if p.startswith(prefixes) and Path(p).suffix in SRC_EXTENSIONS]
+
+    def src_files(self) -> list[str]:
+        return self.cxx_files(("src/",))
+
+    def markdown_files(self) -> list[str]:
+        return [p for p in sorted(self.files) if p.endswith(".md")]
+
+    def exists(self, path: str) -> bool:
+        """Whether a repo-relative path names a file or directory: on disk
+        for a loaded checkout, among `files` for a synthetic repo."""
+        path = posixpath.normpath(path).lstrip("/")
+        if self.root is not None:
+            return (self.root / path).exists()
+        return path in self.files or \
+            any(p.startswith(path + "/") for p in self.files)
 
     # ---- suppression ----------------------------------------------------
 

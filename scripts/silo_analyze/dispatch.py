@@ -1,4 +1,4 @@
-"""Pass 3 — dispatch exhaustiveness.
+"""Dispatch pass — enum and protocol-struct handler exhaustiveness.
 
 The engine's determinism story leans on total dispatch: every EventKind has
 a case in EventQueue::dispatch, every JournalOp replays, every field of a
@@ -33,6 +33,12 @@ from . import lexer
 from .base import Finding, Repo
 
 RULE = "dispatch-exhaustive"
+
+RULES = [
+    (RULE,
+     "enum variant without a dispatch case, or protocol-struct field "
+     "not covered by its serializer/checksum/apply handler"),
+]
 
 
 @dataclass(frozen=True)

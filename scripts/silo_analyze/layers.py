@@ -1,4 +1,4 @@
-"""Pass 1 — layer-DAG enforcement over the src/ include graph.
+"""Layers pass — layer-DAG enforcement over the src/ include graph.
 
 The module layering is frozen in scripts/silo_analyze/layers.json: for each
 module under src/, the manifest lists exactly the modules its files may
@@ -30,6 +30,15 @@ from .base import Finding, Repo, module_of
 
 RULE_DAG = "layer-dag"
 RULE_CYCLE = "include-cycle"
+
+RULES = [
+    (RULE_DAG,
+     "module include edge not declared in the layer manifest "
+     "(scripts/silo_analyze/layers.json), manifest cycle, or stale edge"),
+    (RULE_CYCLE,
+     "include cycle between src/ files (invisible to the compiler "
+     "behind header guards)"),
+]
 
 _INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 

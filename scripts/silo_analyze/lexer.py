@@ -1,7 +1,7 @@
 """A small C++ tokenizer for silo-analyze.
 
-silo-lint's per-line regexes are fine for banning identifiers, but the
-analyzer passes need to know what is *code*: a metric name in a comment is
+The lint pass's per-line regexes are fine for banning identifiers, but the
+other passes need to know what is *code*: a metric name in a comment is
 documentation, a `//` inside a string literal is not a comment, and
 `switch` exhaustiveness needs real brace matching. This lexer produces a
 flat token stream that is exact for the constructs the passes care about:
@@ -184,8 +184,8 @@ def split_line_comment(line: str) -> tuple[str, str]:
 
     This is the string-aware replacement for `line.split("//", 1)`:
     `log("https://x"); srand(1);` keeps the srand() call in the code part.
-    Block comments are out of scope (silo-lint is line-based and the repo
-    style uses `//`); a `/*` on the line is left in the code part.
+    Block comments are out of scope (the lint pass is line-based and the
+    repo style uses `//`); a `/*` on the line is left in the code part.
     """
     i = 0
     n = len(line)

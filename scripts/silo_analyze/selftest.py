@@ -1,15 +1,17 @@
-"""Embedded self-test corpus for silo-analyze, in the style of
-silo-lint's positive/negative cases: every pass has fixtures that must
-flag, fixtures that must stay quiet, and a suppression fixture proving
-the `// silo-analyze: allow(<rule>)` escape hatch works. Registered as
-the `silo_analyze_selftest` ctest and run first in the CI lint job, so a
-rule that silently stops matching fails the build, not the review.
+"""Embedded self-test corpus for silo-analyze: every pass has fixtures
+that must flag, fixtures that must stay quiet, and suppression fixtures
+proving the `// silo-analyze: allow(<rule>)` escape hatch works (for the
+lint pass, on every positive case, both on its line and alone on the line
+above). Registered as the `silo_analyze_selftest` ctest and run first in
+the CI lint job, so a rule that silently stops matching fails the build,
+not the review.
 """
 
 from __future__ import annotations
 
-from . import dispatch, layers, lexer, metrics_docs, shared_state
+from . import dispatch, docs, layers, lexer, lint, shared_state
 from .base import Repo
+from .passes import rule_ids
 
 # Each case: (name, files, manifest, pass-runner, expected violations as a
 # sorted list of (rule, path) pairs). Allowed findings never count as
@@ -19,6 +21,109 @@ CASES = []
 
 def case(name, files, manifest, runner, expect):
     CASES.append((name, files, manifest, runner, sorted(expect)))
+
+
+# ---- lint pass -------------------------------------------------------------
+
+# Per rule: (synthetic repo path, one source line, should the rule flag it).
+# Each case sees only its own rule's findings, since a line may break two
+# rules (`srand(time(nullptr))`).
+LINT_CASES = {
+    "wall-clock": [
+        ("src/sim/x.cc", "auto t = std::chrono::system_clock::now();", True),
+        ("src/sim/x.cc", "auto t = std::chrono::steady_clock::now();", True),
+        ("bench/x.cc", "auto t = std::chrono::steady_clock::now();", False),
+        ("tests/x.cc", "srand(time(nullptr));", True),
+        ("src/sim/x.cc", "TimeNs transmission_time(Bytes b);", False),
+        ("src/sim/x.cc", "const TimeNs t = ev.time(); ", False),
+    ],
+    "unseeded-random": [
+        ("src/util/x.cc", "std::random_device rd;", True),
+        ("tests/x.cc", "int r = rand();", True),
+        ("bench/x.cc", "srand(42);", True),
+        ("src/sim/x.cc", "rng.uniform_int(0, 9);", False),
+        ("src/sim/x.cc", "grand_total += 1;", False),
+        ("src/sim/x.cc", "x = operand();", False),
+        # `//` inside a string literal is not a comment: code after it
+        # must still be linted...
+        ("src/sim/x.cc", 'log("see https://x.test"); srand(42);', True),
+        # ...while a real trailing comment is still stripped.
+        ("src/sim/x.cc", "int x = 0;  // srand(1) only in comment", False),
+    ],
+    "unordered-container": [
+        ("src/sim/x.h", "std::unordered_map<int, int> m;", True),
+        ("src/sim/x.h", "#include <unordered_map>", True),
+        ("tests/x.cc", "std::unordered_map<int, int> m;", False),
+        ("src/sim/x.h", "std::map<int, int> m;", False),
+        # Anti-entropy sweeps iterate per-server state; a hash map there
+        # would randomize repair order (and thus every rng draw the
+        # repairs make), so the channel keeps id-indexed arrays.
+        ("src/sim/control_channel.h",
+         "std::unordered_map<int, PacerConfigTable> shadow_;", True),
+        ("src/sim/control_channel.h",
+         "std::vector<Agent> agents_;  ///< by server id", False),
+    ],
+    "raw-new-delete": [
+        ("src/sim/x.cc", "Packet* p = new Packet();", True),
+        ("src/sim/x.cc", "delete p;", True),
+        ("src/sim/x.cc", "delete[] arr;", True),
+        ("src/sim/x.cc", "auto p = std::make_unique<Packet>();", False),
+        ("src/sim/x.cc", "TcpFlow(const TcpFlow&) = delete;", False),
+        ("src/core/x.cc", "Packet* p = new Packet();", False),
+        ("src/sim/x.cc", "renewed = true;", False),
+        ("src/sim/x.cc", "// new rcv_next_ is re-ACKed, not delivered", False),
+    ],
+    "float-time": [
+        ("src/sim/x.h", "double now_ns = 0;", True),
+        ("src/sim/x.h", "float sim_time_ns;", True),
+        ("src/sim/x.h", "double clock_ns_;", True),
+        ("src/sim/x.h", "std::chrono::duration<double> d;", True),
+        ("bench/x.cc", "std::chrono::duration<double>(t1 - t0).count();",
+         False),
+        ("src/pacer/x.h", "const double wait_ns = deficit * 8e9 / r;", False),
+        ("src/sim/x.h", "TimeNs now_ {};", False),
+    ],
+    "banned-include": [
+        ("src/sim/x.cc", "#include <thread>", True),
+        ("src/sim/x.cc", "#include <ctime>", True),
+        ("src/core/x.cc", "#include <random>", True),
+        # The seeded wrapper's own include is an ordinary reviewed allow.
+        ("src/util/rng.h",
+         "#include <random>  // silo-analyze: allow(banned-include)", False),
+        ("src/sim/x.cc", "#include <functional>", False),
+        ("tests/x.cc", "#include <random>", False),
+        # src/par/ carve-out: threading primitives are the sync layer's
+        # reason to exist; everything else stays banned there too.
+        ("src/par/thread_executor.h", "#include <thread>", False),
+        ("src/par/thread_executor.cc", "#include <mutex>", False),
+        ("src/par/thread_executor.cc", "#include <condition_variable>",
+         False),
+        ("src/par/thread_executor.cc", "#include <ctime>", True),
+        ("src/par/thread_executor.cc", "#include <random>", True),
+        # The carve-out is exactly src/par/ — not sim, not bench.
+        ("src/sim/parallel.cc", "#include <mutex>", True),
+        ("bench/bench_event_engine.cc", "#include <thread>", True),
+    ],
+}
+
+
+def _only(rule_id):
+    def run(repo: Repo):
+        return [f for f in lint.run(repo) if f.rule == rule_id]
+    return run
+
+
+for _rule, _cases in LINT_CASES.items():
+    for _i, (_path, _line, _flag) in enumerate(_cases):
+        _name = f"lint/{_rule}/{_i}"
+        case(_name, {_path: _line + "\n"}, None, _only(_rule),
+             [(_rule, _path)] if _flag else [])
+        if _flag:
+            _allow = f"// silo-analyze: allow({_rule})"
+            case(f"{_name}/allow-same-line",
+                 {_path: f"{_line}  {_allow}\n"}, None, _only(_rule), [])
+            case(f"{_name}/allow-line-above",
+                 {_path: f"{_allow}\n{_line}\n"}, None, _only(_rule), [])
 
 
 # ---- layer-DAG pass --------------------------------------------------------
@@ -338,9 +443,9 @@ case(
         'auto u = reg.counter("sim.port.undocumented", "packets", "port");',
         ""]),
      "docs/OBSERVABILITY.md": _M_DOC},
-    None, metrics_docs.run,
-    [(metrics_docs.RULE_UNDOC, "src/m/x.cc"),
-     (metrics_docs.RULE_UNREG, "docs/OBSERVABILITY.md")])
+    None, docs.check_metrics,
+    [(docs.RULE_UNDOC, "src/m/x.cc"),
+     (docs.RULE_UNREG, "docs/OBSERVABILITY.md")])
 
 case(
     "metrics/clean",
@@ -352,7 +457,7 @@ case(
          "|--------|------|------|",
          "| `sim.port.drops` | counter | drops |",
          ""])},
-    None, metrics_docs.run, [])
+    None, docs.check_metrics, [])
 
 case(
     "metrics/undocumented-suppressed",
@@ -362,7 +467,61 @@ case(
         'auto c = reg.counter("sim.port.scratch", "p", "port");',
         ""]),
      "docs/OBSERVABILITY.md": "| Metric |\n"},
-    None, metrics_docs.run, [])
+    None, docs.check_metrics, [])
+
+# ---- markdown links and the DESIGN.md rule table ---------------------------
+
+# Each fixture runs the whole docs pass, so DESIGN.md carries a table row
+# for every rule of the real catalog unless the fixture drops one.
+def _design(ids):
+    rows = "".join(f"| `{r}` | what it checks | pass |\n" for r in ids)
+    return "| Rule | What it checks | Pass |\n|---|---|---|\n" + rows
+
+
+def _docs_repo(readme, design=None):
+    return {"README.md": readme,
+            "DESIGN.md": _design(rule_ids()) if design is None else design,
+            "docs/GUIDE.md": "Back to [the design](../DESIGN.md#top).\n",
+            "src/m/x.cc": "int x = 0;\n"}
+
+
+case(
+    "docs/relative-links-resolve",
+    _docs_repo("See [the guide](docs/GUIDE.md), [a file](src/m/x.cc), "
+               "[a directory](src/m/) and [this section](#usage).\n"),
+    None, docs.run, [])
+
+case(
+    "docs/broken-link",
+    _docs_repo("See [the guide](docs/GUIDE.md) and [gone](docs/GONE.md).\n"),
+    None, docs.run, [(docs.RULE_LINK, "README.md")])
+
+case(
+    "docs/absolute-urls-skipped",
+    _docs_repo("[CI](https://ci.example/run) [old](http://example.test/x) "
+               "[mail](mailto:dev@example.test)\n"),
+    None, docs.run, [])
+
+case(
+    "docs/lambda-capture-in-code-block-skipped",
+    _docs_repo("```cpp\n"
+               "std::sort(v.begin(), v.end(), [&](const auto& a, auto& b) {\n"
+               "  return a.id < b.id;\n"
+               "});\n"
+               "for_each(rows, [this](Row r) { emit(r); });\n"
+               "```\n"),
+    None, docs.run, [])
+
+case(
+    "docs/rule-missing-from-design-table",
+    _docs_repo("", design=_design(
+        [r for r in rule_ids() if r != "float-time"])),
+    None, docs.run, [(docs.RULE_UNDOC_RULE, "DESIGN.md")])
+
+case(
+    "docs/design-table-row-names-unknown-rule",
+    _docs_repo("", design=_design(rule_ids() + ["no-such-rule"])),
+    None, docs.run, [(docs.RULE_UNKNOWN_RULE, "DESIGN.md")])
 
 # ---- lexer invariants ------------------------------------------------------
 

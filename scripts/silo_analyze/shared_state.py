@@ -1,4 +1,4 @@
-"""Pass 2 — shared-mutable-state census over src/.
+"""Shared-state pass — mutable-shared-state census over src/.
 
 The ROADMAP's deterministic-parallel-simulation item needs per-rack
 sequential islands; any mutable state reachable from two islands breaks
@@ -13,7 +13,7 @@ hide in C++:
     synchronization point);
   - `pointer-keyed-container`: `std::map`/`std::set` (and multi/unordered
     variants) keyed by a pointer — iteration order is address order, i.e.
-    allocator-dependent, the exact nondeterminism silo-lint's
+    allocator-dependent, the exact nondeterminism the lint pass's
     unordered-container rule exists to keep out.
 
 Beyond pass/fail, the census is a report: run() also feeds
@@ -42,6 +42,18 @@ from .base import Finding, Repo
 RULE_GLOBAL = "mutable-global"
 RULE_STATIC_LOCAL = "mutable-static-local"
 RULE_PTR_KEY = "pointer-keyed-container"
+
+RULES = [
+    (RULE_GLOBAL,
+     "mutable namespace-scope variable in src/ (process-wide shared "
+     "state; blocks the parallel-sim carve-out)"),
+    (RULE_STATIC_LOCAL,
+     "mutable function-local static in src/ (hidden shared state plus "
+     "an init guard)"),
+    (RULE_PTR_KEY,
+     "pointer-keyed std::map/std::set in src/ (address-ordered "
+     "iteration is allocator-dependent)"),
+]
 
 _SKIP_DECL_WORDS = {
     "const", "constexpr", "constinit", "using", "typedef", "friend",

@@ -1,7 +1,8 @@
 // The one component in the tree that owns threads. Everything under
-// src/sim/ is sequential per island by contract (silo-lint enforces the
-// threading-include ban there); this executor sees islands only as opaque
-// indices and provides the window barrier the protocol requires.
+// src/sim/ is sequential per island by contract (silo-analyze's lint pass
+// enforces the threading-include ban there); this executor sees islands
+// only as opaque indices and provides the window barrier the protocol
+// requires.
 #pragma once
 
 #include <condition_variable>

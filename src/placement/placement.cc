@@ -58,33 +58,6 @@ PlacementEngine::PlacementEngine(const topology::Topology& topo, Policy policy,
   access_rate_limit_ = rate_limit(access);
   access_rate_ = access.rate;
   access_queue_capacity_ = access.queue_capacity;
-
-  // Shard layout: racks own their servers' ports, pods their racks' ports,
-  // one core shard owns the pod ports. Every port has exactly one owner.
-  const std::size_t num_shards =
-      static_cast<std::size_t>(topo.num_racks() + topo.num_pods() + 1);
-  shard_of_port_.assign(static_cast<std::size_t>(topo.num_ports()), -1);
-  shard_ports_.resize(num_shards);
-  auto own = [this](int shard, topology::PortId p) {
-    shard_of_port_[static_cast<std::size_t>(p.value)] = shard;
-    shard_ports_[static_cast<std::size_t>(shard)].push_back(p.value);
-  };
-  for (int s = 0; s < topo.num_servers(); ++s) {
-    own(topo.rack_of_server(s), topo.server_up(s));
-    own(topo.rack_of_server(s), topo.server_down(s));
-  }
-  for (int r = 0; r < topo.num_racks(); ++r) {
-    own(topo.num_racks() + topo.pod_of_rack(r), topo.rack_up(r));
-    own(topo.num_racks() + topo.pod_of_rack(r), topo.rack_down(r));
-  }
-  const int core_shard = topo.num_racks() + topo.num_pods();
-  for (int p = 0; p < topo.num_pods(); ++p) {
-    own(core_shard, topo.pod_up(p));
-    own(core_shard, topo.pod_down(p));
-  }
-  shard_dirty_.assign(num_shards, 0);
-  shard_max_resv_.assign(num_shards, 0.0);
-  shard_max_qfrac_.assign(num_shards, 0.0);
   tenants_by_server_.resize(static_cast<std::size_t>(topo.num_servers()));
   tenants_by_port_.resize(static_cast<std::size_t>(topo.num_ports()));
   const auto rows =
@@ -116,11 +89,6 @@ void PlacementEngine::adjust_free_slots(int server, int delta) {
   } else if (old == rmf) {
     recompute_rack_max_free(rack);  // the rack max may have shrunk
   }
-}
-
-void PlacementEngine::touch_port(int port) {
-  shard_dirty_[static_cast<std::size_t>(
-      shard_of_port_[static_cast<std::size_t>(port)])] = 1;
 }
 
 void PlacementEngine::fail_server(int server) {
@@ -366,15 +334,15 @@ bool PlacementEngine::server_ports_ok(const TenantRequest& req, int server,
                                       int m_here, Scope scope) const {
   if (policy_ == Policy::kLocality) return true;
   // Best-effort tenants reserve nothing (slots-only admission, matching
-  // tenant_contributions): probing ports with their nominal guarantee
+  // admitted_contributions): probing ports with their nominal guarantee
   // would wrongly block the degraded fallback on failed or loaded ports.
   if (req.tenant_class == TenantClass::kBestEffort) return true;
   const int n = req.num_vms;
   if (m_here >= n) return true;  // all VMs colocated: no fabric traffic
   const RateBps link = topo_.config().server_link_rate;
   const auto up = cut_contribution(
-      req, m_here, upstream_capacity(static_cast<int>(PortKind::kServerUp), scope),
-      link);
+      req, m_here,
+      upstream_capacity(static_cast<int>(PortKind::kServerUp), scope), link);
   if (!port_admits(topo_.server_up(server).value, up)) return false;
   const auto down = cut_contribution(
       req, n - m_here,
@@ -496,10 +464,10 @@ std::optional<PlacementEngine::CountMap> PlacementEngine::pack_servers(
   return std::nullopt;
 }
 
-std::vector<std::pair<int, PortContribution>>
-PlacementEngine::tenant_contributions(const TenantRequest& req,
-                                      const CountMap& counts,
-                                      Scope scope) const {
+std::optional<std::vector<std::pair<int, PortContribution>>>
+PlacementEngine::admitted_contributions(const TenantRequest& req,
+                                        const CountMap& counts,
+                                        Scope scope) const {
   std::vector<std::pair<int, PortContribution>> out;
   if (policy_ == Policy::kLocality ||
       req.tenant_class == TenantClass::kBestEffort)
@@ -507,10 +475,15 @@ PlacementEngine::tenant_contributions(const TenantRequest& req,
 
   const int n = req.num_vms;
   const RateBps link = topo_.config().server_link_rate;
-  auto push = [&](topology::PortId id, int m_side, PortKind kind) {
+  // Records the contribution at one port and reports whether the port
+  // admits it. Port loads do not change while a candidate is tested, so
+  // stopping at the first refusal decides what testing every port would.
+  const auto admits = [&](topology::PortId id, int m_side, PortKind kind) {
     const auto c = cut_contribution(
         req, m_side, upstream_capacity(static_cast<int>(kind), scope), link);
-    if (reserves(c)) out.emplace_back(id.value, c);
+    if (!reserves(c)) return true;
+    out.emplace_back(id.value, c);
+    return port_admits(id.value, c);
   };
 
   // VMs per rack or per pod, ascending by index (the order the ports are
@@ -533,44 +506,39 @@ PlacementEngine::tenant_contributions(const TenantRequest& req,
     return v;
   };
   for (const auto& [server, m] : counts) {
-    push(topo_.server_up(server), m, PortKind::kServerUp);
-    push(topo_.server_down(server), n - m, PortKind::kServerDown);
+    if (!admits(topo_.server_up(server), m, PortKind::kServerUp) ||
+        !admits(topo_.server_down(server), n - m, PortKind::kServerDown))
+      return std::nullopt;
   }
   if (scope >= Scope::kPod) {
     const auto per_rack =
         tally([this](int server) { return topo_.rack_of_server(server); });
     for (const auto& [rack, m] : per_rack) {
-      push(topo_.rack_up(rack), m, PortKind::kRackUp);
-      push(topo_.rack_down(rack), n - m, PortKind::kRackDown);
+      if (!admits(topo_.rack_up(rack), m, PortKind::kRackUp) ||
+          !admits(topo_.rack_down(rack), n - m, PortKind::kRackDown))
+        return std::nullopt;
     }
   }
   if (scope >= Scope::kDatacenter && topo_.num_pods() > 1) {
     const auto per_pod =
         tally([this](int server) { return topo_.pod_of_server(server); });
     for (const auto& [pod, m] : per_pod) {
-      push(topo_.pod_up(pod), m, PortKind::kPodUp);
-      push(topo_.pod_down(pod), n - m, PortKind::kPodDown);
+      if (!admits(topo_.pod_up(pod), m, PortKind::kPodUp) ||
+          !admits(topo_.pod_down(pod), n - m, PortKind::kPodDown))
+        return std::nullopt;
     }
   }
   return out;
 }
 
-bool PlacementEngine::validate_candidate(const TenantRequest& req,
-                                         const CountMap& counts,
-                                         Scope scope) const {
-  if (policy_ == Policy::kLocality) return true;
-  for (const auto& [port, c] : tenant_contributions(req, counts, scope)) {
-    if (!port_admits(port, c)) return false;
-  }
-  return true;
-}
-
-std::optional<PlacementEngine::CountMap> PlacementEngine::try_scope(
+std::optional<PlacementEngine::TenantRecord> PlacementEngine::try_scope(
     const TenantRequest& req, Scope scope, int anchor) {
+  TenantRecord rec;
   if (scope == Scope::kServer) {
     if (req.min_fault_domains > 1 || free_slots_[anchor] < req.num_vms)
       return std::nullopt;
-    return CountMap{{anchor, req.num_vms}};
+    rec.slot_usage = {{anchor, req.num_vms}};
+    return rec;  // colocated: the tenant's traffic crosses no port
   }
   // The scope's racks and their free slots: the anchor rack, the anchor
   // pod's racks, or every rack.
@@ -585,8 +553,12 @@ std::optional<PlacementEngine::CountMap> PlacementEngine::try_scope(
     slots = free_slots_pod_[static_cast<std::size_t>(anchor)];
   }
   auto counts = pack_servers(req, scope, first_rack, first_rack + racks, slots);
-  if (!counts || !validate_candidate(req, *counts, scope)) return std::nullopt;
-  return counts;
+  if (!counts) return std::nullopt;
+  auto contributions = admitted_contributions(req, *counts, scope);
+  if (!contributions) return std::nullopt;
+  rec.slot_usage = std::move(*counts);
+  rec.contributions = std::move(*contributions);
+  return rec;
 }
 
 std::optional<AdmittedTenant> PlacementEngine::place(
@@ -607,14 +579,11 @@ std::optional<AdmittedTenant> PlacementEngine::place(
        sc <= static_cast<int>(widest); ++sc) {
     const auto scope = static_cast<Scope>(sc);
     auto attempt = [&](int anchor) -> std::optional<AdmittedTenant> {
-      auto counts = try_scope(request, scope, anchor);
-      if (!counts) return std::nullopt;
-      TenantRecord rec;
-      rec.request = request;
-      rec.slot_usage = *counts;
-      rec.contributions = tenant_contributions(request, *counts, scope);
+      auto rec = try_scope(request, scope, anchor);
+      if (!rec) return std::nullopt;
+      rec->request = request;
       AdmittedTenant admitted;
-      commit(std::move(rec), admitted);
+      commit(std::move(*rec), admitted);
       return admitted;
     };
     if (scope == Scope::kServer) {
@@ -666,10 +635,7 @@ void PlacementEngine::commit(TenantRecord&& rec, AdmittedTenant& out) {
     adjust_free_slots(server, -count);
     for (int i = 0; i < count; ++i) out.vm_to_server.push_back(server);
   }
-  for (const auto& [port, c] : rec.contributions) {
-    port_load_[port].add(c);
-    touch_port(port);
-  }
+  for (const auto& [port, c] : rec.contributions) port_load_[port].add(c);
   rec.vm_to_server = out.vm_to_server;
   rec.used_ports = used_ports_for(rec.slot_usage);
   if (mode_ == AdmissionMode::kIncremental) {
@@ -695,10 +661,8 @@ void PlacementEngine::remove(TenantId id) {
     }
     adjust_free_slots(server, count);
   }
-  for (const auto& [port, c] : it->second.contributions) {
+  for (const auto& [port, c] : it->second.contributions)
     port_load_[port].remove(c);
-    touch_port(port);
-  }
   if (mode_ == AdmissionMode::kIncremental) {
     // Index lists are sorted (monotonic ids, ascending restore).
     auto drop = [id](std::vector<TenantId>& list) {
@@ -749,7 +713,8 @@ EngineSnapshot PlacementEngine::snapshot_globals() const {
          quarantined_slots_[static_cast<std::size_t>(s)]});
   }
   for (int p = 0; p < topo_.num_ports(); ++p) {
-    if (port_failed_[static_cast<std::size_t>(p)]) snap.failed_ports.push_back(p);
+    if (port_failed_[static_cast<std::size_t>(p)])
+      snap.failed_ports.push_back(p);
   }
   snap.next_id = next_id_;
   return snap;
@@ -776,10 +741,7 @@ void PlacementEngine::restore(const EngineSnapshot& snap) {
     rec.used_ports = used_ports_for(rec.slot_usage);
     for (const auto& [server, count] : rec.slot_usage)
       adjust_free_slots(server, -count);
-    for (const auto& [port, c] : rec.contributions) {
-      port_load_[port].add(c);
-      touch_port(port);
-    }
+    for (const auto& [port, c] : rec.contributions) port_load_[port].add(c);
     if (mode_ == AdmissionMode::kIncremental) {
       for (const auto& [server, count] : rec.slot_usage)
         tenants_by_server_[static_cast<std::size_t>(server)].push_back(t.id);
@@ -790,13 +752,13 @@ void PlacementEngine::restore(const EngineSnapshot& snap) {
   }
   next_id_ = snap.next_id;
   for (const auto& f : snap.failed_servers) {
-    server_failed_[static_cast<std::size_t>(f.server)] = 1;
+    const auto s = static_cast<std::size_t>(f.server);
+    server_failed_[s] = 1;
     // The captured free count already excludes the quarantined pool; pull
     // the aggregates down to it so a later restore_server() returns
     // exactly the quarantined slots the original engine held back.
-    adjust_free_slots(f.server,
-                      f.free_slots - free_slots_[static_cast<std::size_t>(f.server)]);
-    quarantined_slots_[static_cast<std::size_t>(f.server)] = f.quarantined;
+    adjust_free_slots(f.server, f.free_slots - free_slots_[s]);
+    quarantined_slots_[s] = f.quarantined;
   }
   if (mode_ == AdmissionMode::kFullRescan) rebuild_port_loads();
 }
@@ -804,47 +766,32 @@ void PlacementEngine::restore(const EngineSnapshot& snap) {
 void PlacementEngine::rebuild_port_loads() {
   // The kFullRescan baseline: forget every aggregate and re-sum all
   // admitted tenants' contributions — O(tenants x ports-per-tenant) per
-  // admit/release, the cost profile the sharded path exists to avoid.
+  // admit/release, the cost profile the incremental path exists to avoid.
   for (auto& load : port_load_) load = PortLoad{};
   for (const auto& [id, rec] : tenants_)
     for (const auto& [port, c] : rec.contributions) port_load_[port].add(c);
-  std::fill(shard_dirty_.begin(), shard_dirty_.end(), 1);
-}
-
-void PlacementEngine::refresh_shard(std::size_t shard) const {
-  double resv = 0.0, qfrac = 0.0;
-  for (int p : shard_ports_[shard]) {
-    const topology::PortId id{p};
-    const auto& port = topo_.port(id);
-    const auto& load = port_load_[p];
-    if (load.empty()) continue;
-    resv = std::max(resv, load.rate_bps() / port.rate.bps());
-    const TimeNs bound = port_queue_bound(id);
-    if (bound >= TimeNs{0} && port.queue_capacity > TimeNs{0})
-      qfrac = std::max(qfrac, static_cast<double>(bound) /
-                                  static_cast<double>(port.queue_capacity));
-  }
-  shard_max_resv_[shard] = resv;
-  shard_max_qfrac_[shard] = qfrac;
-  shard_dirty_[shard] = 0;
-}
-
-void PlacementEngine::refresh_dirty_shards() const {
-  for (std::size_t sh = 0; sh < shard_dirty_.size(); ++sh)
-    if (shard_dirty_[sh]) refresh_shard(sh);
 }
 
 double PlacementEngine::max_port_reservation() const {
-  refresh_dirty_shards();
   double out = 0.0;
-  for (double v : shard_max_resv_) out = std::max(out, v);
+  for (int p = 0; p < topo_.num_ports(); ++p) {
+    if (port_load_[p].empty()) continue;
+    out = std::max(out, port_reservation(topology::PortId{p}));
+  }
   return out;
 }
 
 double PlacementEngine::max_queue_headroom_used() const {
-  refresh_dirty_shards();
   double out = 0.0;
-  for (double v : shard_max_qfrac_) out = std::max(out, v);
+  for (int p = 0; p < topo_.num_ports(); ++p) {
+    if (port_load_[p].empty()) continue;
+    const topology::PortId id{p};
+    const TimeNs capacity = topo_.port(id).queue_capacity;
+    const TimeNs bound = port_queue_bound(id);
+    if (bound >= TimeNs{0} && capacity > TimeNs{0})
+      out = std::max(out, static_cast<double>(bound) /
+                              static_cast<double>(capacity));
+  }
   return out;
 }
 

@@ -38,10 +38,10 @@ enum class Scope { kServer = 0, kRack = 1, kPod = 2, kDatacenter = 3 };
 
 /// How admission maintains its derived state.
 ///
-/// kIncremental (the default) shards per-port load and headroom caches by
-/// rack/pod/DC and maintains per-server and per-port tenant indexes, so an
-/// admit or release touches only the shards on the tenant's placement
-/// path. Its packing reads each access-port contribution from a
+/// kIncremental (the default) updates per-port loads in place and
+/// maintains per-server and per-port tenant indexes, so an admit or release
+/// touches only the ports and servers on the tenant's placement path. Its
+/// packing reads each access-port contribution from a
 /// per-request probe table, checks both access ports against per-level
 /// constants, skips servers whose NIC cannot carry even the cheapest
 /// probe, and abandons a scope as soon as the free slots left in its walk
@@ -67,22 +67,24 @@ struct AdmittedTenant {
 struct EngineSnapshot {
   struct Tenant {
     TenantId id = -1;
-    TenantRequest request;  ///< as admitted (degraded tenants: best-effort copy)
+    /// As admitted (degraded tenants: best-effort copy).
+    TenantRequest request;
     std::vector<int> vm_to_server;
     std::vector<std::pair<int, PortContribution>> contributions;
     friend bool operator==(const Tenant&, const Tenant&) = default;
   };
   struct FailedServer {
     int server = -1;
-    int free_slots = 0;    ///< free-slot count frozen at failure time
-    int quarantined = 0;   ///< slots freed on the dead host since
+    int free_slots = 0;   ///< free-slot count frozen at failure time
+    int quarantined = 0;  ///< slots freed on the dead host since
     friend bool operator==(const FailedServer&, const FailedServer&) = default;
   };
-  std::vector<Tenant> tenants;              ///< ascending id
-  std::vector<FailedServer> failed_servers; ///< ascending server
-  std::vector<int> failed_ports;            ///< ascending PortId value
+  std::vector<Tenant> tenants;               ///< ascending id
+  std::vector<FailedServer> failed_servers;  ///< ascending server
+  std::vector<int> failed_ports;             ///< ascending PortId value
   TenantId next_id = 0;
-  friend bool operator==(const EngineSnapshot&, const EngineSnapshot&) = default;
+  friend bool operator==(const EngineSnapshot&,
+                         const EngineSnapshot&) = default;
 };
 
 class PlacementEngine {
@@ -142,14 +144,13 @@ class PlacementEngine {
   /// Fraction of a port's line rate reserved by admitted tenants.
   double port_reservation(topology::PortId p) const;
 
-  /// Highest port_reservation() over every port. Incremental mode answers
-  /// from the per-rack/pod/DC shard caches, recomputing only shards whose
-  /// load changed since the last query; kFullRescan scans every port.
+  /// Highest port_reservation() over every loaded port (a scan of every
+  /// port; only SiloController::stats() asks).
   double max_port_reservation() const;
 
   /// Worst admitted queue bound anywhere, as a fraction of that port's
-  /// queue capacity (<= 1 by construction for Silo policy). Same shard
-  /// caching as max_port_reservation().
+  /// queue capacity (<= 1 by construction for Silo policy). Scans every
+  /// loaded port, like max_port_reservation().
   double max_queue_headroom_used() const;
 
   /// Worst-case queuing delay currently admitted at a port (ns); 0 for an
@@ -187,9 +188,10 @@ class PlacementEngine {
   using CountMap = std::vector<std::pair<int, int>>;  // (server, count)
 
   /// Packs and validates the scope around `anchor` (a server, rack or pod
-  /// index; unused at datacenter scope).
-  std::optional<CountMap> try_scope(const TenantRequest& req, Scope scope,
-                                    int anchor);
+  /// index; unused at datacenter scope): the record's slot usage and port
+  /// contributions, ready to commit once its request is set.
+  std::optional<TenantRecord> try_scope(const TenantRequest& req, Scope scope,
+                                        int anchor);
   /// First-fit over the servers of racks [first_rack, end_rack) in id
   /// order, skipping full racks and servers; `free_ahead` is the range's
   /// free-slot total. nullopt when the servers cannot hold the tenant.
@@ -211,10 +213,12 @@ class PlacementEngine {
   void fill_nic_row(const TenantRequest& req, int cap);
   const PortContribution& tor_entry(const TenantRequest& req, Scope scope,
                                     int m);
-  bool validate_candidate(const TenantRequest& req, const CountMap& counts,
-                          Scope scope) const;
-  std::vector<std::pair<int, PortContribution>> tenant_contributions(
-      const TenantRequest& req, const CountMap& counts, Scope scope) const;
+  /// The tenant's contribution at every port it reserves on, in port
+  /// order, each tested with port_admits as it is computed; nullopt at the
+  /// first port that refuses. Empty for locality and best-effort tenants.
+  std::optional<std::vector<std::pair<int, PortContribution>>>
+  admitted_contributions(const TenantRequest& req, const CountMap& counts,
+                         Scope scope) const;
 
   /// Tenant's arrival-curve contribution at one port: cut curve for
   /// `m_side` of `n` VMs behind the port, propagated through
@@ -236,12 +240,8 @@ class PlacementEngine {
   void adjust_free_slots(int server, int delta);
   void recompute_rack_max_free(int rack);
 
-  /// Mark the shard owning `port` stale after a load change.
-  void touch_port(int port);
-  void refresh_shard(std::size_t shard) const;
-  void refresh_dirty_shards() const;
   /// kFullRescan baseline: rebuild every port's aggregate load from the
-  /// tenant map (the cost the sharded incremental path avoids).
+  /// tenant map (the cost the in-place incremental updates avoid).
   void rebuild_port_loads();
 
   const topology::Topology& topo_;
@@ -272,17 +272,8 @@ class PlacementEngine {
   RateBps access_rate_{};
   TimeNs access_queue_capacity_{};
 
-  // --- Sharded derived state (incremental mode) --------------------------
-  // Shard layout: one shard per rack (owning its servers' NIC/ToR ports),
-  // one per pod (owning its racks' up/down ports), one for the DC core
-  // (pod up/down ports). A load change dirties only the owning shard; the
-  // max-headroom queries recompute dirty shards and fold cached maxima.
-  std::vector<int> shard_of_port_;
-  std::vector<std::vector<int>> shard_ports_;
-  mutable std::vector<char> shard_dirty_;
-  mutable std::vector<double> shard_max_resv_;
-  mutable std::vector<double> shard_max_qfrac_;
-  // Tenant indexes so failure handling touches only the affected shards
+  // --- Tenant indexes (incremental mode) ---------------------------------
+  // So failure handling and server_config touch only the affected tenants
   // instead of scanning every tenant. Ids are kept sorted (admission ids
   // are monotonic). Maintained in incremental mode only; kFullRescan
   // answers the same queries by scanning the tenant map.

@@ -32,7 +32,7 @@
 #include "model/guarantee.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/packet_timeline.h"
+#include "obs/packet_stages.h"
 #include "pacer/headroom_lender.h"
 #include "pacer/pacer_config.h"
 #include "placement/placement.h"

@@ -28,7 +28,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/packet_timeline.h"
+#include "obs/packet_stages.h"
 #include "sim/packet.h"
 
 namespace silo::sim {

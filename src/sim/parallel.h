@@ -19,10 +19,11 @@
 // thread count or scheduling — so results are identical for any executor,
 // including the serial fallback.
 //
-// This header is thread-free by design (silo-lint bans threading includes
-// in src/sim/): protocol code stays sequential per island, and the only
-// component allowed to own threads is the IslandExecutor implementation in
-// src/par/, which sees islands purely as opaque indices to run.
+// This header is thread-free by design (silo-analyze's lint pass bans
+// threading includes in src/sim/): protocol code stays sequential per
+// island, and the only component allowed to own threads is the
+// IslandExecutor implementation in src/par/, which sees islands purely as
+// opaque indices to run.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,7 @@
 #include <limits>
 #include <vector>
 
-#include "obs/packet_timeline.h"
+#include "obs/packet_stages.h"
 #include "sim/packet.h"
 #include "topology/topology.h"
 #include "util/units.h"

@@ -6,7 +6,8 @@
 
 #include <cmath>
 #include <cstdint>
-#include <random>
+// This header is the seeded wrapper every random stream goes through.
+#include <random>  // silo-analyze: allow(banned-include)
 
 namespace silo {
 

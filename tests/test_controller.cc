@@ -353,8 +353,9 @@ struct PacerFleet {
     for (int s = 0; s < ctl.topo().num_servers(); ++s) {
       const auto snapshot = ctl.server_config(s);
       const auto it = tables.find(s);
-      const std::uint64_t applied =
-          it == tables.end() ? pacer_config_checksum({}) : it->second.checksum();
+      const std::uint64_t applied = it == tables.end()
+                                        ? pacer_config_checksum({})
+                                        : it->second.checksum();
       ASSERT_EQ(applied, pacer_config_checksum(snapshot)) << "server " << s;
       if (it != tables.end()) {
         ASSERT_EQ(it->second.size(), snapshot.size()) << "server " << s;
@@ -395,7 +396,7 @@ TEST(ControllerDiff, BestEffortTenantsEmitNoDeltas) {
 }
 
 TEST(ControllerDiff, ReleaseThenReadmitReproducesSnapshotChecksums) {
-  // Satellite: release -> re-admit under sharded state must restore stats
+  // Release -> re-admit under incremental state must restore stats
   // and leave the delta-applied pacer state checksum-identical to freshly
   // computed full snapshots at every step.
   SiloController ctl(small_dc());

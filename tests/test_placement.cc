@@ -314,7 +314,8 @@ void expect_same_state(const PlacementEngine& inc,
 
 // The tentpole correctness bar: a seeded admit/release/fail/restore storm
 // must produce bit-identical decisions and derived state in incremental
-// (sharded, cached) and full-rescan (reference rebuild) modes.
+// (in-place loads, tenant indexes) and full-rescan (reference rebuild)
+// modes.
 TEST(Placement, IncrementalModeMatchesFullRescanUnderChurn) {
   topology::Topology topo(small_topo());
   PlacementEngine inc(topo, Policy::kSilo, 50 * kUsec, true,
