@@ -80,7 +80,7 @@ Result run(bool with_besteffort, TimeNs duration) {
   res.guaranteed_p99_us = msgs.latencies_us().percentile(99);
   res.guaranteed_gbps = bulk.goodput_bps() / 1e9;
   if (filler) res.besteffort_gbps = filler->goodput_bps() / 1e9;
-  res.metrics = cluster.metrics().snapshot();
+  res.metrics = cluster.merged_metrics();
   return res;
 }
 

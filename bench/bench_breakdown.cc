@@ -118,10 +118,11 @@ SchemeResult run_scheme(sim::Scheme scheme, const ExpConfig& ec,
         res.class_b.max_sum_error_ns, bd->breakdown().max_sum_error_ns);
     res.class_b.messages += bd->breakdown().messages;
   }
-  res.metrics = cluster.metrics().snapshot();
+  res.metrics = cluster.merged_metrics();
 
   if (trace) {
-    const std::string path = flags.gets("trace-out", "BENCH_breakdown.trace.json");
+    const std::string path =
+        flags.gets("trace-out", "BENCH_breakdown.trace.json");
     std::ofstream tf(path);
     cluster.flight_recorder()->dump_chrome_trace(tf);
     std::printf("wrote %s (%zu flight events, %llu recorded)\n", path.c_str(),
@@ -170,7 +171,8 @@ int main(int argc, char** argv) {
                    TextTable::fmt(r.class_a_latency_us.mean(), 1),
                    TextTable::fmt(r.class_a_latency_us.percentile(99), 1),
                    TextTable::fmt(share_pct(r.class_a.pacing_us, r.class_a), 1),
-                   TextTable::fmt(share_pct(r.class_a.queueing_us, r.class_a), 1),
+                   TextTable::fmt(
+                       share_pct(r.class_a.queueing_us, r.class_a), 1),
                    TextTable::fmt(
                        share_pct(r.class_a.serialization_us, r.class_a), 1),
                    TextTable::fmt(

@@ -25,6 +25,7 @@
 #include "core/controller.h"
 #include "sim/control_channel.h"
 #include "sim/event_queue.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 using namespace silo;
@@ -78,18 +79,13 @@ StormResult run_storm(const topology::TopologyConfig& tcfg,
   Rng rng(seed);
   StormResult r;
 
-  const auto mix = [](std::uint64_t& h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  r.decision_checksum = 1469598103934665603ull;
-  r.config_checksum = 1469598103934665603ull;
+  r.decision_checksum = kFnvTruncatedBasis;
+  r.config_checksum = kFnvTruncatedBasis;
   const auto mix_handle = [&](const TenantHandle& handle) {
-    mix(r.decision_checksum, static_cast<std::uint64_t>(handle.id));
+    std::uint64_t& h = r.decision_checksum;
+    h = fnv1a_word(h, static_cast<std::uint64_t>(handle.id));
     for (int s : handle.vm_to_server)
-      mix(r.decision_checksum, static_cast<std::uint64_t>(s));
+      h = fnv1a_word(h, static_cast<std::uint64_t>(s));
   };
 
   std::vector<TenantHandle> live;
@@ -167,8 +163,9 @@ StormResult run_storm(const topology::TopologyConfig& tcfg,
   for (int s = 0; s < num_servers; s += stride) {
     const auto snapshot = ctl.server_config(s);
     const std::uint64_t snap_sum = pacer_config_checksum(snapshot);
-    mix(r.config_checksum, static_cast<std::uint64_t>(s));
-    mix(r.config_checksum, snap_sum);
+    std::uint64_t& h = r.config_checksum;
+    h = fnv1a_word(h, static_cast<std::uint64_t>(s));
+    h = fnv1a_word(h, snap_sum);
     if (mode == placement::AdmissionMode::kIncremental) {
       const auto it = fleet.find(s);
       const std::uint64_t applied =
@@ -180,13 +177,6 @@ StormResult run_storm(const topology::TopologyConfig& tcfg,
   r.upserts = ctl.metrics().value("controller.diff.upserts");
   r.removes = ctl.metrics().value("controller.diff.removes");
   return r;
-}
-
-void mix_into(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
 }
 
 struct RestartResult {
@@ -232,12 +222,13 @@ RestartResult run_restart_storm(const topology::TopologyConfig& tcfg,
 
   Rng rng(seed);
   RestartResult r;
-  r.decision_checksum = 1469598103934665603ull;
-  r.config_checksum = 1469598103934665603ull;
+  r.decision_checksum = kFnvTruncatedBasis;
+  r.config_checksum = kFnvTruncatedBasis;
   const auto mix_handle = [&](const TenantHandle& handle) {
-    mix_into(r.decision_checksum, static_cast<std::uint64_t>(handle.id));
+    std::uint64_t& h = r.decision_checksum;
+    h = fnv1a_word(h, static_cast<std::uint64_t>(handle.id));
     for (int s : handle.vm_to_server)
-      mix_into(r.decision_checksum, static_cast<std::uint64_t>(s));
+      h = fnv1a_word(h, static_cast<std::uint64_t>(s));
   };
 
   std::vector<TenantHandle> live;
@@ -327,8 +318,9 @@ RestartResult run_restart_storm(const topology::TopologyConfig& tcfg,
   for (int s = 0; s < num_servers; s += stride) {
     const std::uint64_t snap_sum =
         pacer_config_checksum(ctl->server_config(s));
-    mix_into(r.config_checksum, static_cast<std::uint64_t>(s));
-    mix_into(r.config_checksum, snap_sum);
+    std::uint64_t& h = r.config_checksum;
+    h = fnv1a_word(h, static_cast<std::uint64_t>(s));
+    h = fnv1a_word(h, snap_sum);
     if (fleet.checksum(s) != snap_sum) r.fleet_matches_snapshots = false;
   }
   r.replayed_records =

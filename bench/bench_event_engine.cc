@@ -186,7 +186,7 @@ ClusterResult run_cluster(TimeNs duration) {
   r.pool_capacity = cluster.events().pool().capacity();
   r.pool_peak_live = cluster.events().pool().peak_live();
   r.callback_events = cluster.events().callback_events();
-  r.metrics = cluster.metrics().snapshot();
+  r.metrics = cluster.merged_metrics();
   return r;
 }
 

@@ -78,7 +78,8 @@ SchemeResult run_scheme(sim::Scheme scheme, const ExpConfig& ec) {
   Rng rng(ec.seed);
 
   const int total_slots = cfg.topo.pods * cfg.topo.racks_per_pod *
-                          cfg.topo.servers_per_rack * cfg.topo.vm_slots_per_server;
+                          cfg.topo.servers_per_rack *
+                          cfg.topo.vm_slots_per_server;
   const int target = static_cast<int>(ec.occupancy * total_slots);
 
   struct ATenant {
@@ -103,8 +104,9 @@ SchemeResult run_scheme(sim::Scheme scheme, const ExpConfig& ec) {
     req.num_vms = next_is_a ? ec.a_vms : ec.b_vms;
     if (next_is_a) {
       req.tenant_class = TenantClass::kDelaySensitive;
-      req.guarantee = {RateBps{std::clamp(rng.exponential(0.25e9), 0.1e9, 0.5e9)},
-                       ec.a_message, 1 * kMsec, 1 * kGbps};
+      req.guarantee = {
+          RateBps{std::clamp(rng.exponential(0.25e9), 0.1e9, 0.5e9)},
+          ec.a_message, 1 * kMsec, 1 * kGbps};
     } else {
       req.tenant_class = TenantClass::kBandwidthOnly;
       req.guarantee = {RateBps{std::clamp(rng.exponential(2e9), 0.5e9, 4e9)},
@@ -154,7 +156,7 @@ SchemeResult run_scheme(sim::Scheme scheme, const ExpConfig& ec) {
   const auto wall1 = std::chrono::steady_clock::now();
   res.events = cluster.events().processed();
   res.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  res.metrics = cluster.metrics().snapshot();
+  res.metrics = cluster.merged_metrics();
 
   for (auto& a : as) {
     res.class_a_latency_us.merge(a.driver->latencies_us());
@@ -294,7 +296,8 @@ int main(int argc, char** argv) {
       s.put("median_ms", r.class_a_latency_us.percentile(50) / 1e3)
           .put("p95_ms", r.class_a_latency_us.percentile(95) / 1e3)
           .put("p99_ms", r.class_a_latency_us.percentile(99) / 1e3)
-          .put("messages", static_cast<std::int64_t>(r.class_a_latency_us.count()))
+          .put("messages",
+               static_cast<std::int64_t>(r.class_a_latency_us.count()))
           .put("admitted_a", r.admitted_a)
           .put("admitted_b", r.admitted_b)
           .put("events", r.events)

@@ -113,9 +113,11 @@ int main(int argc, char** argv) {
                                      static_cast<double>(attempted),
                                  1) +
                                  " %"});
-  table.add_row({"mean placement time", TextTable::fmt(micros.mean(), 1) + " us"});
+  table.add_row(
+      {"mean placement time", TextTable::fmt(micros.mean(), 1) + " us"});
   table.add_row({"median", TextTable::fmt(micros.median(), 1) + " us"});
-  table.add_row({"99th percentile", TextTable::fmt(micros.percentile(99), 1) + " us"});
+  table.add_row(
+      {"99th percentile", TextTable::fmt(micros.percentile(99), 1) + " us"});
   table.add_row({"max", TextTable::fmt(micros.max() / 1000.0, 2) + " ms"});
   std::printf("%s\n", table.to_string().c_str());
   std::printf("Paper reference: maximum placement time 1.15 s over 100K\n"

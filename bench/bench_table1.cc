@@ -48,7 +48,7 @@ double run_cell(double bw_mult, int burst_mult, Bytes msg, double rate,
   const TimeNs bound = max_message_latency(req.guarantee, msg);
   const double bound_us =
       static_cast<double>(bound) / static_cast<double>(kUsec);
-  if (snap) *snap = cluster.metrics().snapshot();
+  if (snap) *snap = cluster.merged_metrics();
   return 100.0 * driver.latencies_us().fraction_above(bound_us);
 }
 

@@ -4,11 +4,13 @@
 // BENCH_*.json result files (--json mode).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -33,13 +35,11 @@ class Flags {
   }
 
   double get(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return number(key, fallback);
   }
 
   std::int64_t geti(const std::string& key, std::int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    return number(key, fallback);
   }
 
   std::string gets(const std::string& key, const std::string& fallback) const {
@@ -50,13 +50,30 @@ class Flags {
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  /// The whole value as a T. A malformed one ("2k", "abc") exits 2 naming
+  /// the flag, instead of running with its numeric prefix or 0.
+  template <class T>
+  T number(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& v = it->second;
+    T out{};
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || end != v.data() + v.size()) {
+      std::fprintf(stderr, "error: --%s=%s is not a number\n", key.c_str(),
+                   v.c_str());
+      std::exit(2);
+    }
+    return out;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
 inline void print_header(const char* experiment, const char* description) {
-  std::printf("=============================================================\n");
-  std::printf("%s\n%s\n", experiment, description);
-  std::printf("=============================================================\n");
+  const char* rule =
+      "=============================================================";
+  std::printf("%s\n%s\n%s\n%s\n", rule, experiment, description, rule);
 }
 
 /// Insertion-ordered JSON object builder. Values are rendered on insert;

@@ -49,21 +49,13 @@ struct RunStats {
   std::int64_t owner_violations = 0;
   std::int64_t owner_bytes = 0;
   std::int64_t borrower_bytes = 0;
-  std::uint64_t trace_checksum = 0;
+  std::uint64_t trace_checksum = 0;    ///< canonical delivery trace
+  std::uint64_t arrival_checksum = 0;  ///< the trace in arrival order
   std::int64_t trace_packets = 0;
   std::int64_t lease_granted = 0, lease_revoked = 0, lease_expired = 0;
   std::int64_t lease_applied = 0, lease_active_end = 0;
   std::vector<obs::MetricSample> metrics;
 };
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-}
 
 sim::ClusterConfig make_config(sim::Scheme scheme, bool lending) {
   sim::ClusterConfig cfg;
@@ -94,17 +86,7 @@ RunStats run_case(sim::Scheme scheme, bool lending, const WorkloadSpec& w) {
   const int borrower = sim.add_tenant_pinned(borrower_req, {0, 1});
 
   RunStats r;
-  r.trace_checksum = kFnvOffset;
-  sim.set_packet_tap([&](const sim::Packet& p) {
-    ++r.trace_packets;
-    mix(r.trace_checksum, static_cast<std::uint64_t>(sim.events().now()));
-    mix(r.trace_checksum, static_cast<std::uint64_t>(p.flow_id));
-    mix(r.trace_checksum, static_cast<std::uint64_t>(p.seq));
-    mix(r.trace_checksum, static_cast<std::uint64_t>(p.ack_seq));
-    mix(r.trace_checksum, static_cast<std::uint64_t>(p.payload));
-    mix(r.trace_checksum, (p.is_ack ? 1u : 0u) | (p.ecn_echo ? 2u : 0u) |
-                              (p.ecn_marked ? 4u : 0u));
-  });
+  sim.enable_delivery_trace();
 
   const TimeNs stop = w.horizon - 5 * kMsec;
 
@@ -136,13 +118,18 @@ RunStats run_case(sim::Scheme scheme, bool lending, const WorkloadSpec& w) {
   r.owner_violations = sim.tenant_counters(owner).slo_violations;
   r.owner_bytes = sim.pair_delivered_bytes(owner, 0, 1);
   r.borrower_bytes = sim.pair_delivered_bytes(borrower, 0, 1);
-  const auto& m = sim.metrics();
-  r.lease_granted = m.value("pacer.lease.granted");
-  r.lease_revoked = m.value("pacer.lease.revoked");
-  r.lease_expired = m.value("pacer.lease.expired");
-  r.lease_applied = m.value("pacer.lease.applied");
-  r.lease_active_end = m.value("pacer.lease.active");
-  r.metrics = m.snapshot();
+  r.trace_checksum = sim.delivery_trace_checksum();
+  r.arrival_checksum = sim.island_trace_checksum();
+  r.trace_packets = sim.delivery_trace_size();
+  r.metrics = sim.merged_metrics();
+  const auto value = [&r](const char* name) {
+    return obs::metric_value(r.metrics, name);
+  };
+  r.lease_granted = value("pacer.lease.granted");
+  r.lease_revoked = value("pacer.lease.revoked");
+  r.lease_expired = value("pacer.lease.expired");
+  r.lease_applied = value("pacer.lease.applied");
+  r.lease_active_end = value("pacer.lease.active");
   return r;
 }
 
@@ -177,6 +164,7 @@ int main(int argc, char** argv) {
   // Gate 1: lending off is bit-identical across executions and lease-free.
   const bool determinism_ok =
       off.trace_checksum == off2.trace_checksum &&
+      off.arrival_checksum == off2.arrival_checksum &&
       off.trace_packets == off2.trace_packets &&
       off.lease_granted == 0 && off.lease_applied == 0 &&
       off.lease_active_end == 0;
@@ -205,9 +193,10 @@ int main(int argc, char** argv) {
                    "granted", "revoked+expired"});
   const auto row = [&](const char* name, const RunStats& r) {
     const double late_pct =
-        r.owner_completed > 0 ? 100.0 * static_cast<double>(r.owner_violations) /
-                                    static_cast<double>(r.owner_completed)
-                              : 0;
+        r.owner_completed > 0
+            ? 100.0 * static_cast<double>(r.owner_violations) /
+                  static_cast<double>(r.owner_completed)
+            : 0;
     table.add_row({name, std::to_string(r.owner_completed),
                    std::to_string(r.owner_violations),
                    TextTable::fmt(late_pct, 2),
@@ -220,10 +209,11 @@ int main(int argc, char** argv) {
   row("tcp no-priority", tcp);
   std::printf("%s\n", table.to_string().c_str());
 
-  std::printf("stranded %s Mb/s of the owner's 300 Mb/s reservation;\n"
-              "lending recovered %s Mb/s for the borrower (%.0f%%, gate 30%%)\n",
-              TextTable::fmt(stranded, 1).c_str(),
-              TextTable::fmt(recovered, 1).c_str(), recovered_fraction * 100);
+  std::printf(
+      "stranded %s Mb/s of the owner's 300 Mb/s reservation;\n"
+      "lending recovered %s Mb/s for the borrower (%.0f%%, gate 30%%)\n",
+      TextTable::fmt(stranded, 1).c_str(), TextTable::fmt(recovered, 1).c_str(),
+      recovered_fraction * 100);
   std::printf("golden: %s (determinism %s, guarantee %s, churn %s, "
               "recovery %s)\n",
               all_golden ? "ok" : "FAIL", determinism_ok ? "ok" : "FAIL",

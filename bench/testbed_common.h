@@ -92,11 +92,12 @@ inline TestbedResult run_testbed(const TestbedScenario& sc) {
 
   TestbedResult res;
   res.latency_us = etc.latencies_us();
-  res.mem_ops_per_sec = static_cast<double>(etc.completed_ops()) /
-                        (static_cast<double>(sc.duration) / static_cast<double>(kSec));
+  res.mem_ops_per_sec =
+      static_cast<double>(etc.completed_ops()) /
+      (static_cast<double>(sc.duration) / static_cast<double>(kSec));
   if (bulk) res.bulk_gbps = bulk->goodput_bps() / 1e9;
   res.breakdown = etc.breakdown();
-  res.metrics = cluster.metrics().snapshot();
+  res.metrics = cluster.merged_metrics();
   return res;
 }
 

@@ -3,25 +3,17 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/fnv.h"
+
 namespace silo {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 // "SILOJRN1" little-endian; no dots so the docs metric grep ignores it.
 constexpr std::uint64_t kMagic = 0x314e524a4f4c4953ull;
 // v2: lease payload on every record + lease state in snapshots.
 // v3: the snapshot is its global fields followed by its keyed tenant
 // entries, and the chain mixes in a digest folded from per-entry digests.
 constexpr std::uint32_t kVersion = 3;
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t double_bits(double d) {
   std::uint64_t bits;
@@ -39,28 +31,30 @@ bool lease_op(JournalOp op) {
 
 std::uint64_t record_chain(std::uint64_t prev, const JournalRecord& rec) {
   std::uint64_t h = prev;
-  h = mix64(h, static_cast<std::uint64_t>(rec.op));
-  h = mix64(h, static_cast<std::uint64_t>(rec.request.num_vms));
-  h = mix64(h, double_bits(rec.request.guarantee.bandwidth.bps()));
-  h = mix64(h, static_cast<std::uint64_t>(rec.request.guarantee.burst.count()));
-  h = mix64(h, static_cast<std::uint64_t>(rec.request.guarantee.delay.count()));
-  h = mix64(h, double_bits(rec.request.guarantee.burst_rate.bps()));
-  h = mix64(h, static_cast<std::uint64_t>(rec.request.tenant_class));
-  h = mix64(h, static_cast<std::uint64_t>(rec.request.min_fault_domains));
-  h = mix64(h, static_cast<std::uint64_t>(rec.tenant));
-  h = mix64(h, static_cast<std::uint64_t>(rec.server));
-  h = mix64(h, static_cast<std::uint64_t>(rec.port));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.op));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.request.num_vms));
+  h = fnv1a_word(h, double_bits(rec.request.guarantee.bandwidth.bps()));
+  h = fnv1a_word(
+      h, static_cast<std::uint64_t>(rec.request.guarantee.burst.count()));
+  h = fnv1a_word(
+      h, static_cast<std::uint64_t>(rec.request.guarantee.delay.count()));
+  h = fnv1a_word(h, double_bits(rec.request.guarantee.burst_rate.bps()));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.request.tenant_class));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.request.min_fault_domains));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.tenant));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.server));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.port));
   // The lease payload folds in only for lease ops, so chains of the
   // original op set are byte-identical to journal v1.
   if (lease_op(rec.op)) {
-    h = mix64(h, rec.lease.id);
-    h = mix64(h, static_cast<std::uint64_t>(rec.lease.owner));
-    h = mix64(h, static_cast<std::uint64_t>(rec.lease.borrower));
-    h = mix64(h, static_cast<std::uint64_t>(rec.lease.vm_index));
-    h = mix64(h, static_cast<std::uint64_t>(rec.lease.server));
-    h = mix64(h, double_bits(rec.lease.rate.bps()));
-    h = mix64(h, rec.lease.issued_epoch);
-    h = mix64(h, rec.lease.expiry_epoch);
+    h = fnv1a_word(h, rec.lease.id);
+    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.owner));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.borrower));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.vm_index));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.server));
+    h = fnv1a_word(h, double_bits(rec.lease.rate.bps()));
+    h = fnv1a_word(h, rec.lease.issued_epoch);
+    h = fnv1a_word(h, rec.lease.expiry_epoch);
   }
   return h;
 }
@@ -76,7 +70,7 @@ struct StringSink {
 };
 
 struct FnvSink {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnvTruncatedBasis;
   void put(std::uint8_t b) {
     h ^= b;
     h *= kFnvPrime;
@@ -114,12 +108,14 @@ class ByteReader {
   }
   std::uint32_t u32() {
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
+    for (int i = 0; i < 4; ++i)
+      v |= static_cast<std::uint32_t>(u8()) << (8 * i);
     return v;
   }
   std::uint64_t u64() {
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+    for (int i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(u8()) << (8 * i);
     return v;
   }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
@@ -346,7 +342,7 @@ void read_entries(ByteReader& r, Map& map, std::uint64_t& sum) {
 }  // namespace
 
 DeltaJournal::DeltaJournal()
-    : pre_snapshot_chain_(kFnvOffset), chain_(kFnvOffset) {
+    : pre_snapshot_chain_(kFnvTruncatedBasis), chain_(kFnvTruncatedBasis) {
   m_appends_ = metrics_.counter("controller.journal.appends", "records",
                                 "journal");
   m_snapshots_ = metrics_.counter("controller.journal.snapshots", "snapshots",
@@ -387,7 +383,8 @@ void DeltaJournal::compact(SnapshotDelta delta) {
     entries += erase_entry(r.tenants, r.tenant_sum, id);
   for (const auto id : delta.erased_engine_tenants)
     entries += erase_entry(r.engine_tenants, r.engine_sum, id);
-  for (auto& t : delta.tenants) put_entry(r.tenants, r.tenant_sum, std::move(t));
+  for (auto& t : delta.tenants)
+    put_entry(r.tenants, r.tenant_sum, std::move(t));
   for (auto& t : delta.engine_tenants)
     put_entry(r.engine_tenants, r.engine_sum, std::move(t));
   entries += static_cast<std::int64_t>(delta.tenants.size() +
@@ -398,7 +395,7 @@ void DeltaJournal::compact(SnapshotDelta delta) {
   // every record being dropped), then the snapshot digest folds on top —
   // the chain stays continuous across any number of compactions.
   pre_snapshot_chain_ = chain_;
-  chain_ = mix64(chain_, digest(r, /*rehash=*/false));
+  chain_ = fnv1a_word(chain_, digest(r, /*rehash=*/false));
   records_.clear();
   m_snapshots_.inc();
   m_compacted_entries_.inc(entries);
@@ -410,7 +407,8 @@ ControllerSnapshot DeltaJournal::snapshot() const {
   for (const auto& [id, e] : retained_->engine_tenants)
     snap.engine.tenants.push_back(e.value);
   snap.tenants.reserve(retained_->tenants.size());
-  for (const auto& [id, e] : retained_->tenants) snap.tenants.push_back(e.value);
+  for (const auto& [id, e] : retained_->tenants)
+    snap.tenants.push_back(e.value);
   return snap;
 }
 
@@ -421,24 +419,25 @@ std::uint64_t DeltaJournal::digest(const Retained& r, bool rehash) {
   if (rehash) {
     globals = digest_of(r.globals);
     engine_sum = tenant_sum = 0;
-    for (const auto& [id, e] : r.engine_tenants) engine_sum += digest_of(e.value);
+    for (const auto& [id, e] : r.engine_tenants)
+      engine_sum += digest_of(e.value);
     for (const auto& [id, e] : r.tenants) tenant_sum += digest_of(e.value);
   }
   // Entry digests combine by sum (order-free, so one entry's change is an
   // O(1) update); the counts and the canonical ascending-id encoding keep
   // the fold unambiguous.
-  std::uint64_t h = kFnvOffset;
-  h = mix64(h, globals);
-  h = mix64(h, r.engine_tenants.size());
-  h = mix64(h, engine_sum);
-  h = mix64(h, r.tenants.size());
-  h = mix64(h, tenant_sum);
+  std::uint64_t h = kFnvTruncatedBasis;
+  h = fnv1a_word(h, globals);
+  h = fnv1a_word(h, r.engine_tenants.size());
+  h = fnv1a_word(h, engine_sum);
+  h = fnv1a_word(h, r.tenants.size());
+  h = fnv1a_word(h, tenant_sum);
   return h;
 }
 
 bool DeltaJournal::chain_holds(std::uint64_t snapshot_digest) const {
   std::uint64_t h = pre_snapshot_chain_;
-  if (retained_) h = mix64(h, snapshot_digest);
+  if (retained_) h = fnv1a_word(h, snapshot_digest);
   for (const auto& rec : records_) {
     h = record_chain(h, rec);
     if (h != rec.chain) return false;

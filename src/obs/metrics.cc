@@ -17,7 +17,8 @@ const char* metric_type_name(MetricType t) {
 }
 
 void MetricsRegistry::check_new_name(const std::string& name) const {
-  if (name.empty()) throw std::invalid_argument("metric name must not be empty");
+  if (name.empty())
+    throw std::invalid_argument("metric name must not be empty");
   for (const Def& d : defs_) {
     if (d.name == name)
       throw std::invalid_argument("duplicate metric name: " + name);
@@ -29,7 +30,8 @@ Counter MetricsRegistry::counter(const std::string& name,
                                  const std::string& owner) {
   check_new_name(name);
   cells_.push_back(0);
-  defs_.push_back({name, unit, owner, MetricType::kCounter, &cells_.back(), nullptr});
+  defs_.push_back(
+      {name, unit, owner, MetricType::kCounter, &cells_.back(), nullptr});
   return Counter(&cells_.back());
 }
 
@@ -37,7 +39,8 @@ Gauge MetricsRegistry::gauge(const std::string& name, const std::string& unit,
                              const std::string& owner) {
   check_new_name(name);
   cells_.push_back(0);
-  defs_.push_back({name, unit, owner, MetricType::kGauge, &cells_.back(), nullptr});
+  defs_.push_back(
+      {name, unit, owner, MetricType::kGauge, &cells_.back(), nullptr});
   return Gauge(&cells_.back());
 }
 
@@ -48,7 +51,8 @@ Histogram MetricsRegistry::histogram(const std::string& name,
   check_new_name(name);
   for (std::size_t i = 1; i < bounds.size(); ++i) {
     if (bounds[i] <= bounds[i - 1])
-      throw std::invalid_argument("histogram bounds must be strictly increasing: " + name);
+      throw std::invalid_argument(
+          "histogram bounds must be strictly increasing: " + name);
   }
   hists_.emplace_back();
   HistogramState& h = hists_.back();
@@ -69,15 +73,20 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::int64_t MetricsRegistry::value(const std::string& name) const {
-  for (const Def& d : defs_) {
-    if (d.name == name) {
-      if (!d.cell)
-        throw std::invalid_argument("metric is a histogram, use snapshot(): " + name);
-      return *d.cell;
+std::int64_t metric_value(const std::vector<MetricSample>& snapshot,
+                          const std::string& name) {
+  for (const MetricSample& m : snapshot) {
+    if (m.name == name) {
+      if (m.type == MetricType::kHistogram)
+        throw std::invalid_argument("metric is a histogram: " + name);
+      return m.value;
     }
   }
   throw std::invalid_argument("unknown metric: " + name);
+}
+
+std::int64_t MetricsRegistry::value(const std::string& name) const {
+  return metric_value(snapshot(), name);
 }
 
 bool MetricsRegistry::has(const std::string& name) const {

@@ -125,6 +125,12 @@ struct MetricSample {
   std::optional<HistogramState> hist;    ///< histogram detail (else empty)
 };
 
+/// Value of the counter or gauge `name` in a snapshot (e.g. a cluster's
+/// merged_metrics()); throws std::invalid_argument if the name is unknown
+/// or a histogram.
+std::int64_t metric_value(const std::vector<MetricSample>& snapshot,
+                          const std::string& name);
+
 /// Registration is cold-path and by unique name (duplicate names throw);
 /// handle updates are the hot path. Cells live in deques so handles stay
 /// valid as the registry grows.
@@ -140,8 +146,8 @@ class MetricsRegistry {
   /// Current value of every registered metric, in registration order.
   std::vector<MetricSample> snapshot() const;
 
-  /// Value of a registered counter/gauge by name; throws if unknown or a
-  /// histogram. Test/report convenience — not for hot paths.
+  /// metric_value(snapshot(), name). Test/report convenience — not for hot
+  /// paths.
   std::int64_t value(const std::string& name) const;
 
   bool has(const std::string& name) const;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "model/guarantee.h"
+#include "util/fnv.h"
 
 namespace silo {
 
@@ -93,39 +94,25 @@ struct PacerApplyResult {
 
 namespace detail {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-/// FNV-1a step over the 8 little-endian bytes of `v`.
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-}
-
 /// The rate's IEEE-754 bit pattern: what the checksum folds and what the
 /// exact record comparison compares.
 inline std::uint64_t rate_bits(RateBps r) {
   return std::bit_cast<std::uint64_t>(r.bps());
 }
 
-inline void fnv_mix_rate(std::uint64_t& h, RateBps r) {
-  fnv_mix(h, rate_bits(r));
-}
-
 /// One record's contribution to pacer_config_checksum.
 inline void fnv_mix_record(std::uint64_t& h, const PacerConfigRecord& rec) {
-  fnv_mix(h, static_cast<std::uint64_t>(rec.tenant));
-  fnv_mix(h, static_cast<std::uint64_t>(rec.vm_index));
-  fnv_mix(h, static_cast<std::uint64_t>(rec.server));
-  fnv_mix_rate(h, rec.guarantee.bandwidth);
-  fnv_mix(h, static_cast<std::uint64_t>(rec.guarantee.burst.count()));
-  fnv_mix(h, static_cast<std::uint64_t>(rec.guarantee.delay.count()));
-  fnv_mix_rate(h, rec.guarantee.burst_rate);
-  fnv_mix(h, static_cast<std::uint64_t>(rec.peers.size()));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.tenant));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.vm_index));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.server));
+  h = fnv1a_word(h, rate_bits(rec.guarantee.bandwidth));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.guarantee.burst.count()));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.guarantee.delay.count()));
+  h = fnv1a_word(h, rate_bits(rec.guarantee.burst_rate));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.peers.size()));
   for (const auto& [vm, server] : rec.peers) {
-    fnv_mix(h, static_cast<std::uint64_t>(vm));
-    fnv_mix(h, static_cast<std::uint64_t>(server));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(vm));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(server));
   }
 }
 
@@ -157,7 +144,7 @@ inline bool same_records(std::span<const PacerConfigRecord> a,
 /// tables against full snapshots through this.
 inline std::uint64_t pacer_config_checksum(
     const std::vector<PacerConfigRecord>& records) {
-  std::uint64_t h = detail::kFnvOffset;
+  std::uint64_t h = kFnvTruncatedBasis;
   for (const auto& rec : records) detail::fnv_mix_record(h, rec);
   return h;
 }
@@ -169,16 +156,16 @@ inline std::uint64_t pacer_config_checksum(
 /// docs/WORKCONSERVING.md "Why leases are outside anti-entropy").
 inline std::uint64_t pacer_lease_checksum(
     const std::vector<PacerLeaseRecord>& leases) {
-  std::uint64_t h = detail::kFnvOffset;
+  std::uint64_t h = kFnvTruncatedBasis;
   for (const auto& l : leases) {
-    detail::fnv_mix(h, l.id);
-    detail::fnv_mix(h, static_cast<std::uint64_t>(l.owner));
-    detail::fnv_mix(h, static_cast<std::uint64_t>(l.borrower));
-    detail::fnv_mix(h, static_cast<std::uint64_t>(l.vm_index));
-    detail::fnv_mix(h, static_cast<std::uint64_t>(l.server));
-    detail::fnv_mix_rate(h, l.rate);
-    detail::fnv_mix(h, l.issued_epoch);
-    detail::fnv_mix(h, l.expiry_epoch);
+    h = fnv1a_word(h, l.id);
+    h = fnv1a_word(h, static_cast<std::uint64_t>(l.owner));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(l.borrower));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(l.vm_index));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(l.server));
+    h = fnv1a_word(h, detail::rate_bits(l.rate));
+    h = fnv1a_word(h, l.issued_epoch);
+    h = fnv1a_word(h, l.expiry_epoch);
   }
   return h;
 }
@@ -287,11 +274,7 @@ class PacerConfigTable {
   /// cached until the next apply() that touches records: anti-entropy and
   /// convergence checks ask every server for it, most of them unchanged.
   std::uint64_t checksum() const {
-    if (!checksum_) {
-      std::uint64_t h = detail::kFnvOffset;
-      for (const auto& rec : records_) detail::fnv_mix_record(h, rec);
-      checksum_ = h;
-    }
+    if (!checksum_) checksum_ = pacer_config_checksum(records_);
     return *checksum_;
   }
   std::uint64_t lease_checksum() const {
@@ -300,7 +283,9 @@ class PacerConfigTable {
 
  private:
   using Key = std::pair<std::int64_t, int>;  ///< (tenant, vm_index)
-  static Key key_of(const PacerConfigRecord& r) { return {r.tenant, r.vm_index}; }
+  static Key key_of(const PacerConfigRecord& r) {
+    return {r.tenant, r.vm_index};
+  }
 
   /// The first record whose key is not below `key`.
   std::vector<PacerConfigRecord>::iterator lower_bound(const Key& key) {

@@ -157,6 +157,7 @@ void ClusterSim::materialize(IslandPartition part) {
   }
 
   hosts_.reserve(topo_->num_servers());
+  applied_lease_rate_.resize(static_cast<std::size_t>(topo_->num_servers()));
   for (int s = 0; s < topo_->num_servers(); ++s) {
     const int isl_id = part_.island_of_server(*topo_, s);
     IslandState& isl = *islands_[static_cast<std::size_t>(isl_id)];
@@ -205,16 +206,6 @@ EventQueue& ClusterSim::events() {
   return islands_.front()->events;
 }
 
-obs::MetricsRegistry& ClusterSim::metrics() {
-  sequential_only("metrics()", "use merged_metrics()");
-  return islands_.front()->metrics;
-}
-
-const obs::MetricsRegistry& ClusterSim::metrics() const {
-  sequential_only("metrics()", "use merged_metrics()");
-  return islands_.front()->metrics;
-}
-
 Fabric& ClusterSim::fabric() {
   materialize();
   return *fabric_;
@@ -247,13 +238,12 @@ EventQueue& ClusterSim::port_events(topology::PortId id) {
       ->events;
 }
 
-EventQueue& ClusterSim::server_events(int server) {
+ClusterSim::IslandState& ClusterSim::server_island(int server) {
   materialize();
   if (server < 0 || server >= topo_->num_servers())
     throw std::out_of_range("ClusterSim: server index");
-  return islands_[static_cast<std::size_t>(
-                      part_.island_of_server(*topo_, server))]
-      ->events;
+  return *islands_[static_cast<std::size_t>(
+      part_.island_of_server(*topo_, server))];
 }
 
 EventQueue& ClusterSim::control_events() {
@@ -261,22 +251,12 @@ EventQueue& ClusterSim::control_events() {
   return islands_.front()->events;
 }
 
-void ClusterSim::set_packet_tap(PacketTap tap) {
-  sequential_only("the packet tap", "use enable_delivery_trace()");
-  tap_ = std::move(tap);
-}
-
 // ------------------------------------------------- configuration plumbing
 
 void ClusterSim::apply_config_deltas(
     const std::vector<PacerConfigDelta>& deltas) {
-  sequential_only("controller delta shipping",
-                  "run the control plane on a sequential cluster");
-  IslandState& isl = *islands_.front();
   for (const auto& delta : deltas) {
-    if (delta.server < 0 ||
-        delta.server >= static_cast<int>(hosts_.size()))
-      throw std::out_of_range("config delta server");
+    IslandState& isl = server_island(delta.server);
     const auto records = static_cast<std::int64_t>(
         delta.removes.size() + delta.upserts.size() +
         delta.lease_removes.size() + delta.lease_upserts.size());
@@ -471,7 +451,8 @@ void ClusterSim::refresh_lease_rates(int server) {
                                .leases()) {
     extra[{lease.borrower, lease.vm_index}] += lease.rate;
   }
-  const TimeNs now = islands_.front()->events.now();
+  IslandState& isl = server_island(server);
+  const TimeNs now = isl.events.now();
   const auto push = [&](std::pair<std::int64_t, int> key, RateBps rate) {
     if (key.first < 0 ||
         key.first >= static_cast<std::int64_t>(tenants_.size()))
@@ -480,9 +461,9 @@ void ClusterSim::refresh_lease_rates(int server) {
     if (!rt.pacers || key.second < 0 || key.second >= rt.request.num_vms)
       return;
     rt.pacers->vm(key.second).set_lease_rate(now, rate);
-    islands_.front()->lease_applied.inc();
+    isl.lease_applied.inc();
   };
-  auto& applied = applied_lease_rate_[server];
+  auto& applied = applied_lease_rate_[static_cast<std::size_t>(server)];
   for (auto it = applied.begin(); it != applied.end();) {
     if (extra.find(it->first) == extra.end()) {
       push(it->first, RateBps{0});  // lease vanished: restore admitted B
@@ -824,13 +805,12 @@ void ClusterSim::dispatch(int island, PacketHandle h) {
   isl.pending_stages = ev.pool().stages(h);
   isl.pending_arrival = ev.now();
   ev.pool().free(h);
-  const std::size_t local = static_cast<std::size_t>(p.flow_id & kLocalFlowMask);
+  const auto local = static_cast<std::size_t>(p.flow_id & kLocalFlowMask);
   if (p.flow_id < 0 || flow_island(p.flow_id) != island ||
       local >= isl.flows.size())
     return;
   record_flight(ev, p, obs::FlightEventType::kDelivered,
                 obs::host_location(p.dst_server));
-  if (tap_) tap_(p);
   if (trace_enabled_) {
     const std::int64_t payload = p.payload.count();
     if (payload < 0 || payload > std::numeric_limits<std::int32_t>::max())
@@ -1068,7 +1048,7 @@ std::uint64_t ClusterSim::delivery_trace_checksum() const {
 std::uint64_t ClusterSim::island_trace_checksum() const {
   // Unsorted: island by island, records in the order they were observed.
   // Any executor-dependent reordering anywhere in the engine changes this.
-  std::uint64_t h = kFnvSeed;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const auto& isl : islands_) {
     h = fnv1a_word(h, static_cast<std::uint64_t>(isl->id));
     for (const DeliveryRecord& r : isl->trace) h = fold_record(h, r);

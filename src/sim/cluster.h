@@ -16,8 +16,9 @@
 // the full catalog, and its tenants' flows. Both modes are built by one
 // construction path (materialize) and run by one loop, the conservative
 // window protocol of sim/parallel.h; results are bit-identical for any
-// executor and any partition. See DESIGN.md "Parallel execution &
-// conservative synchronization".
+// executor and any partition. Only events(), the flight recorder, lending
+// and late admission are one-island features. See DESIGN.md "Parallel
+// execution & conservative synchronization".
 #pragma once
 
 #include <cstdint>
@@ -192,10 +193,12 @@ class ClusterSim {
   }
 
   /// Ship drained controller deltas (SiloController::drain_config_deltas)
-  /// to their servers. Each delta lands on its host's pacer-config table
-  /// only after the controller->hypervisor latency plus per-record
-  /// processing; the simulated cost is accounted in controller.diff.apply_ns
-  /// and the landings in controller.diff.applied. Sequential mode only.
+  /// to their servers. Each delta lands on its host's pacer-config table,
+  /// as an event on the server's island, only after the controller->
+  /// hypervisor latency plus per-record processing; that island counts the
+  /// cost in controller.diff.apply_ns and the landing in
+  /// controller.diff.applied. On several islands, call it from outside any
+  /// event (before or between run_until() calls).
   void apply_config_deltas(const std::vector<PacerConfigDelta>& deltas);
 
   /// QJUMP's network epoch for this fabric (exposed for tests/benches).
@@ -206,24 +209,10 @@ class ClusterSim {
   /// Leases the issuer currently considers live, ascending id.
   std::vector<PacerLeaseRecord> active_leases() const;
 
-  /// Debug/test tap: observes every packet at final delivery (right before
-  /// the transport consumes it). Used by determinism regression tests to
-  /// checksum the full delivered-packet trace. Sequential mode only — in
-  /// parallel mode use enable_delivery_trace(), whose canonical checksum
-  /// is comparable across modes.
-  using PacketTap = std::function<void(const Packet&)>;
-  void set_packet_tap(PacketTap tap);
-
-  /// The cluster's metric registry (sequential mode: the one shard that
-  /// exists; fabric/host/transport/cluster counters are registered at
-  /// construction and updated via cached handles). Parallel mode throws —
-  /// the shards must be combined; use merged_metrics().
-  obs::MetricsRegistry& metrics();
-  const obs::MetricsRegistry& metrics() const;
-
-  /// Merged view across every island's registry shard: counters sum,
-  /// gauges take the max, histograms merge element-wise (the catalogs are
-  /// identical by construction). Sequential mode: == metrics().snapshot().
+  /// The cluster's metrics: every island's registry shard merged —
+  /// counters sum, gauges take the max, histograms merge element-wise (the
+  /// catalogs are identical by construction). On one island it is that
+  /// island's snapshot. Read one value with obs::metric_value().
   std::vector<obs::MetricSample> merged_metrics() const;
 
   /// Create and attach a flight recorder (bounded ring of `capacity`
@@ -280,7 +269,7 @@ class ClusterSim {
   EventQueue& tenant_events(int tenant);
   /// Queue driving a fabric port / a server's host (fault routing).
   EventQueue& port_events(topology::PortId id);
-  EventQueue& server_events(int server);
+  EventQueue& server_events(int server) { return server_island(server).events; }
   /// Island-0 queue, home of control-plane objects (ControlChannel).
   EventQueue& control_events();
 
@@ -426,7 +415,7 @@ class ClusterSim {
   void lease_epoch_tick();
   std::vector<pacer::LenderVmStats> collect_lender_stats();
   /// Re-derive per-(tenant, vm) lease overlays from `server`'s applied
-  /// lease table and push them into the borrower pacers.
+  /// lease table and push them into the borrower pacers (server's island).
   void refresh_lease_rates(int server);
 
   /// Register the shared metric catalog into one island's registry shard
@@ -445,6 +434,7 @@ class ClusterSim {
   /// mode.
   void sequential_only(const char* what, const char* remedy) const;
   int tenant_island(int tenant) const;
+  IslandState& server_island(int server);  ///< materializes; range-checked
   /// Flow-table key of a VM pair; throws std::out_of_range for an index
   /// outside [0, num_vms) rather than alias another pair.
   static std::int64_t pair_key(const TenantRuntime& rt, int src_local,
@@ -474,19 +464,20 @@ class ClusterSim {
   /// in parallel mode; replayed into island 0 at materialize().
   std::int64_t pending_rejections_ = 0;
   int next_global_vm_ = 0;
-  PacketTap tap_;
 
   std::unique_ptr<obs::FlightRecorder> recorder_;
 
   // Headroom-lender state (docs/WORKCONSERVING.md). All stays empty/zero
-  // while cfg_.lending.enabled is false. Sequential mode only.
+  // while cfg_.lending.enabled is false. Sequential mode only, apart from
+  // applied_lease_rate_, which lease-bearing config deltas also use.
   std::unique_ptr<pacer::HeadroomLender> lender_;
   std::uint64_t lease_epoch_ = 0;
   std::uint64_t next_lease_id_ = 1;
   std::map<std::uint64_t, PacerLeaseRecord> issued_;  ///< issuer lease table
-  /// Per server: lease overlay last pushed to each (tenant, vm) pacer, so
-  /// vanished leases are zeroed out exactly once.
-  std::map<int, std::map<std::pair<std::int64_t, int>, RateBps>>
+  /// Indexed by server: lease overlay last pushed to each (tenant, vm)
+  /// pacer, so vanished leases are zeroed out exactly once. Sized at
+  /// materialize(); each entry belongs to its server's island.
+  std::vector<std::map<std::pair<std::int64_t, int>, RateBps>>
       applied_lease_rate_;
 };
 

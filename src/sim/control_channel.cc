@@ -15,18 +15,6 @@ void check_server(int server, const char* what) {
 
 }  // namespace
 
-TimeNs channel_retry_delay(const ChannelRetryPolicy& p, int attempt, Rng& rng) {
-  TimeNs backoff = p.base_backoff;
-  for (int i = 1; i < attempt && backoff < p.max_backoff; ++i)
-    backoff = backoff * 2;
-  backoff = std::min(backoff, p.max_backoff);
-  // Full +/- jitter decorrelates retry storms after a shared fault.
-  const double factor = 1.0 + p.jitter * (2.0 * rng.uniform() - 1.0);
-  return std::max(TimeNs{1},
-                  TimeNs{static_cast<std::int64_t>(
-                      static_cast<double>(backoff) * factor)});
-}
-
 // ---------------------------------------------------------- PacerAgentFleet
 
 PacerAgentFleet::Agent& PacerAgentFleet::agent(int server) {
@@ -378,7 +366,7 @@ void ControlChannel::on_ack_timeout(int server, std::int64_t seq,
   }
   ++entry->attempt;
   m_retries_.inc();
-  const TimeNs backoff = channel_retry_delay(cfg_.retry, entry->attempt, rng_);
+  const TimeNs backoff = retry_delay(cfg_.retry, entry->attempt, rng_);
   post(backoff, {Message::Kind::kRetry, server, gen, seq, nullptr});
 }
 

@@ -7,7 +7,7 @@
 // in order, buffer ahead-of-sequence deltas (gap detection), and discard
 // duplicates — so any permutation-with-duplicates of a delta stream
 // converges to the in-order result. Undelivered deltas are retried with
-// jittered exponential backoff (the driver RetryPolicy shape); a periodic
+// jittered exponential backoff (util/retry.h, as the drivers); a periodic
 // anti-entropy sweep walks servers in ascending id order comparing the
 // controller-side shadow PacerConfigTable checksum against each agent's
 // and ships a full-snapshot repair to any desynced server.
@@ -37,6 +37,7 @@
 #include "obs/metrics.h"
 #include "pacer/pacer_config.h"
 #include "sim/event_queue.h"
+#include "util/retry.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -46,24 +47,11 @@ class SiloController;
 
 namespace silo::sim {
 
-/// Mirror of workload::RetryPolicy (that type lives above the sim layer in
-/// the link graph, so the shape is shared rather than the type).
-struct ChannelRetryPolicy {
-  int max_attempts = 6;
-  TimeNs base_backoff = 400 * kUsec;
-  TimeNs max_backoff = 10 * kMsec;
-  double jitter = 0.5;  ///< full +/- fraction applied to each backoff
-};
-
-/// Doubling backoff with full +/- jitter — same formula as the workload
-/// driver's retry_delay. `attempt` counts from 1.
-TimeNs channel_retry_delay(const ChannelRetryPolicy& p, int attempt, Rng& rng);
-
 struct ChannelConfig {
   TimeNs delivery_delay = 50 * kUsec;   ///< one-way base latency per hop
   TimeNs delivery_jitter = 20 * kUsec;  ///< uniform extra per hop
   TimeNs ack_timeout = 500 * kUsec;     ///< unacked after this -> retry
-  ChannelRetryPolicy retry;
+  RetryPolicy retry{6, 400 * kUsec, 10 * kMsec, 0.5};
   /// Period of the automatic anti-entropy sweep; 0 means rounds are only
   /// run manually via anti_entropy_round().
   TimeNs anti_entropy_period {};
@@ -87,7 +75,7 @@ class PacerAgentFleet {
   struct DeliveryResult {
     std::uint64_t epoch = 0;          ///< agent epoch after processing
     std::int64_t acked_through = 0;   ///< highest contiguous applied seq
-    int applied = 0;                  ///< deltas applied in order (incl. drained)
+    int applied = 0;                  ///< deltas applied in order (+ drained)
     int duplicates = 0;               ///< already-seen seqs discarded
     int gaps = 0;                     ///< ahead-of-seq deltas buffered
     int stale_epoch = 0;              ///< messages from a dead epoch dropped
@@ -106,9 +94,9 @@ class PacerAgentFleet {
   /// Full-snapshot repair: resets the agent's table to `records`, adopts
   /// `epoch`, and fast-forwards the sequence cursor to `through_seq`.
   /// Range-checked like deliver_delta.
-  DeliveryResult deliver_snapshot(int server, std::uint64_t epoch,
-                                  std::int64_t through_seq,
-                                  const std::vector<PacerConfigRecord>& records);
+  DeliveryResult deliver_snapshot(
+      int server, std::uint64_t epoch, std::int64_t through_seq,
+      const std::vector<PacerConfigRecord>& records);
 
   /// Applied-state checksum (empty-table checksum when no agent exists).
   std::uint64_t checksum(int server) const;

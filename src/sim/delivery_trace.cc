@@ -45,7 +45,7 @@ std::uint64_t canonical_trace_checksum(
                                          b->ack_seq, b->payload, b->flags);
   };
   std::vector<const DeliveryRecord*> group;
-  std::uint64_t h = kFnvSeed;
+  std::uint64_t h = kFnvOffsetBasis;
   while (!heap.empty()) {
     const std::int64_t at = heap.front().first;
     group.clear();

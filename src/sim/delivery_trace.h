@@ -8,6 +8,8 @@
 #include <deque>
 #include <span>
 
+#include "util/fnv.h"
+
 namespace silo::sim {
 
 /// One delivered packet.
@@ -22,19 +24,7 @@ struct DeliveryRecord {
 };
 static_assert(sizeof(DeliveryRecord) == 40);
 
-inline constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-/// FNV-1a over one 64-bit word, byte by byte (the golden-trace convention
-/// of the determinism tests).
-inline std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// FNV-1a fold of one record, field by field.
+/// FNV-1a fold of one record, field by field (fnv1a_word per field).
 std::uint64_t fold_record(std::uint64_t h, const DeliveryRecord& r);
 
 /// One island's records in arrival order: nondecreasing `at_ns`, because

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/control_channel.h"
+#include "util/rng.h"
 
 namespace silo::sim {
 
@@ -80,8 +81,8 @@ FaultPlan FaultPlan::random(const topology::Topology& topo, std::uint64_t seed,
                             TimeNs horizon, int events) {
   FaultPlan plan;
   plan.seed = seed;
-  // Distinct stream from the loss Rng so plan shape and loss draws never
-  // correlate across seeds.
+  // A scrambled seed, so the plan's shape never correlates with the loss
+  // draws, which are keyed on `seed` itself.
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x5bf03635ull);
   const TimeNs start_max = horizon * 6 / 10;
   const TimeNs repair_by = horizon * 8 / 10;
@@ -110,7 +111,7 @@ FaultPlan FaultPlan::random(const topology::Topology& topo, std::uint64_t seed,
 }
 
 FaultInjector::FaultInjector(ClusterSim& sim, FaultPlan plan)
-    : sim_(sim), plan_(std::move(plan)), loss_rng_(plan_.seed) {}
+    : sim_(sim), plan_(std::move(plan)) {}
 
 EventQueue& FaultInjector::queue_for(const FaultAction& a) {
   // Each action fires on the event queue of the island that owns the
@@ -119,16 +120,8 @@ EventQueue& FaultInjector::queue_for(const FaultAction& a) {
   switch (a.kind) {
     case FaultAction::Kind::kLinkDown:
     case FaultAction::Kind::kLinkUp:
-      return sim_.port_events(topology::PortId{a.port});
     case FaultAction::Kind::kLossStart:
     case FaultAction::Kind::kLossStop:
-      // Loss windows draw from one shared Rng whose consumption order
-      // depends on global packet interleaving — not a pure function of the
-      // partition, so they stay sequential-only.
-      if (sim_.parallel_mode())
-        throw std::logic_error(
-            "FaultInjector: loss windows are sequential-mode only (the "
-            "shared loss Rng is not island-confined)");
       return sim_.port_events(topology::PortId{a.port});
     case FaultAction::Kind::kServerDown:
     case FaultAction::Kind::kServerUp:
@@ -164,10 +157,10 @@ void FaultInjector::execute(const FaultAction& a) {
       break;
     case FaultAction::Kind::kLossStart:
       sim_.fabric().port(topology::PortId{a.port})
-          .set_loss(a.loss_rate, &loss_rng_);
+          .set_loss(a.loss_rate, plan_.seed);
       break;
     case FaultAction::Kind::kLossStop:
-      sim_.fabric().port(topology::PortId{a.port}).set_loss(0, nullptr);
+      sim_.fabric().port(topology::PortId{a.port}).set_loss(0, plan_.seed);
       break;
     case FaultAction::Kind::kServerDown:
       sim_.host_mut(a.server).set_up(false);

@@ -7,12 +7,12 @@
 // chaos tests are bit-reproducible.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "sim/cluster.h"
 #include "topology/topology.h"
-#include "util/rng.h"
 
 namespace silo::sim {
 
@@ -36,8 +36,9 @@ struct FaultAction {
   double loss_rate = 0;  ///< kLossStart / kChannelLossStart only
 };
 
-/// Builder-style deterministic fault schedule. All draws the injected
-/// faults make at runtime (loss coin flips) come from one Rng seeded here.
+/// Builder-style deterministic fault schedule. The loss windows' runtime
+/// coin flips are keyed on `seed` (SwitchPortSim::set_loss), so they do not
+/// depend on packet interleaving.
 struct FaultPlan {
   std::uint64_t seed = 1;
   std::vector<FaultAction> actions;
@@ -64,17 +65,17 @@ struct FaultPlan {
                           TimeNs horizon, int events);
 };
 
-/// Executes a FaultPlan against a ClusterSim through its event queue.
-/// Must outlive the simulation run (ports keep a pointer to the loss Rng).
+/// Executes a FaultPlan against a ClusterSim, each action on the event
+/// queue of the island that owns its target. Armed actions call back into
+/// the injector, so keep it alive until the last one has fired.
 class FaultInjector {
  public:
   FaultInjector(ClusterSim& sim, FaultPlan plan);
 
-  /// Schedule every action. Call once, before (or during) the run; actions
+  /// Schedule every action. Call once, before (or between) runs; actions
   /// whose time is already in the past execute at the current time.
-  /// All-or-nothing: a plan with an action this cluster cannot run (a loss
-  /// window in parallel mode, an out-of-range port or server) throws before
-  /// anything is scheduled.
+  /// All-or-nothing: a plan with an action this cluster cannot run (an
+  /// out-of-range port or server) throws before anything is scheduled.
   void arm();
 
   /// Wire a ControlChannel so kChannelLoss* actions reach it; channel
@@ -92,9 +93,9 @@ class FaultInjector {
 
   ClusterSim& sim_;
   FaultPlan plan_;
-  Rng loss_rng_;
   ControlChannel* channel_ = nullptr;
-  int executed_ = 0;
+  /// Islands on different threads execute their actions concurrently.
+  std::atomic<int> executed_ {0};
 };
 
 }  // namespace silo::sim

@@ -2,7 +2,32 @@
 
 #include <algorithm>
 
+#include "util/fnv.h"
+
 namespace silo::sim {
+
+namespace {
+
+/// Uniform in [0, 1): an FNV-1a fold of the port's loss key and the
+/// packet's identity (see SwitchPortSim::set_loss), top 53 bits.
+double loss_draw(std::uint64_t seed, std::int32_t port, const Packet& p) {
+  std::uint64_t h = fnv1a_word(kFnvOffsetBasis, seed);
+  h = fnv1a_word(h, static_cast<std::uint64_t>(port));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(p.src_vm));
+  h = fnv1a_word(h, static_cast<std::uint64_t>(p.dst_vm));
+  h = fnv1a_word(h, p.is_ack ? 1u : 0u);
+  h = fnv1a_word(h, p.id);
+  // FNV-1a alone leaves nearby ids correlated; murmur3's finalizer makes
+  // the drops independent coin flips.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+}  // namespace
 
 void SwitchPortSim::maybe_mark(Packet& p) {
   if (cfg_.phantom_queue) {
@@ -37,7 +62,8 @@ void SwitchPortSim::enqueue_pfabric(PacketHandle h) {
   // the largest remaining — is found with one lower_bound from the back.
   while (!pfabric_queue_.empty() &&
          queued_bytes_ + p.wire_bytes > cfg_.buffer) {
-    const std::int64_t worst_remaining = std::prev(pfabric_queue_.end())->remaining;
+    const std::int64_t worst_remaining =
+        std::prev(pfabric_queue_.end())->remaining;
     if (worst_remaining <= p.remaining) {
       ++stats_.drops;
       metrics_.drops.inc();
@@ -117,7 +143,8 @@ void SwitchPortSim::enqueue(PacketHandle h) {
     events_.pool().free(h);
     return;
   }
-  if (loss_rng_ && loss_rng_->uniform() < loss_rate_) {
+  if (loss_rate_ > 0 &&
+      loss_draw(loss_seed_, location_, events_.pool().get(h)) < loss_rate_) {
     ++stats_.fault_drops;
     metrics_.fault_drops.inc();
     record_flight(events_, events_.pool().get(h),

@@ -17,7 +17,6 @@
 #include "sim/event_queue.h"
 #include "sim/packet.h"
 #include "sim/packet_pool.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace silo::sim {
@@ -120,11 +119,13 @@ class SwitchPortSim {
   void set_link_up(bool up);
   bool link_up() const { return link_up_; }
 
-  /// Probabilistic per-link packet loss (injected fault, not congestion).
-  /// `rng` must outlive the loss window; rate 0 / nullptr disables.
-  void set_loss(double rate, Rng* rng) {
+  /// Probabilistic per-link packet loss (injected fault, not congestion):
+  /// an arrival drops when a hash of (`seed`, location(), src_vm, dst_vm,
+  /// is_ack, id) maps below `rate`, so every partition drops the same
+  /// packets and a retransmission (fresh id) draws again. 0 disables.
+  void set_loss(double rate, std::uint64_t seed) {
     loss_rate_ = rate;
-    loss_rng_ = rate > 0 ? rng : nullptr;
+    loss_seed_ = seed;
   }
 
   Bytes queued_bytes() const { return queued_bytes_; }
@@ -206,7 +207,7 @@ class SwitchPortSim {
   Bytes tx_bytes_ {};
   bool link_up_ = true;
   double loss_rate_ = 0;
-  Rng* loss_rng_ = nullptr;
+  std::uint64_t loss_seed_ = 0;
   double phantom_bytes_ = 0;
   TimeNs phantom_updated_ {};
   PortStats stats_;

@@ -19,18 +19,6 @@ void BreakdownAgg::add(const sim::ClusterSim::MessageResult& r) {
   ++messages;
 }
 
-TimeNs retry_delay(const RetryPolicy& p, int attempt, Rng& rng) {
-  TimeNs backoff = p.base_backoff;
-  for (int i = 1; i < attempt && backoff < p.max_backoff; ++i)
-    backoff = backoff * 2;
-  backoff = std::min(backoff, p.max_backoff);
-  // Full +/- jitter decorrelates retry storms after a shared fault.
-  const double factor = 1.0 + p.jitter * (2.0 * rng.uniform() - 1.0);
-  return std::max(TimeNs{1},
-                  TimeNs{static_cast<std::int64_t>(
-                      static_cast<double>(backoff) * factor)});
-}
-
 // ---------------------------------------------------------------- EtcDriver
 
 EtcDriver::EtcDriver(sim::ClusterSim& cluster, int tenant, int server_vm,
@@ -61,9 +49,10 @@ void EtcDriver::schedule_next() {
   if (t > until_) return;
   // Arrivals ride typed raw events; the per-transaction response chain below
   // stays on std::function callbacks (cold, message-granularity).
-  cluster_.tenant_events(tenant_).raw_at(
-      t, [](void* self, std::uint32_t) { static_cast<EtcDriver*>(self)->on_arrival(); },
-      this);
+  const auto arrive = [](void* self, std::uint32_t) {
+    static_cast<EtcDriver*>(self)->on_arrival();
+  };
+  cluster_.tenant_events(tenant_).raw_at(t, arrive, this);
 }
 
 void EtcDriver::on_arrival() {
@@ -88,7 +77,7 @@ void EtcDriver::send_request(int client, Bytes value, TimeNs sent,
        attempt](const sim::ClusterSim::MessageResult& r) {
         if (r.aborted) {
           ++aborted_;
-          if (!retry_.enabled || attempt >= retry_.max_attempts) {
+          if (attempt >= retry_.max_attempts) {
             ++abandoned_;
             return;
           }
@@ -103,9 +92,10 @@ void EtcDriver::send_request(int client, Bytes value, TimeNs sent,
         breakdown_.add(r);
         const auto think = static_cast<TimeNs>(rng_.exponential(
             static_cast<double>(cfg_.server_processing_mean)));
-        cluster_.tenant_events(tenant_).after(think, [this, client, value, sent] {
-          send_response(client, value, sent, 1);
-        });
+        cluster_.tenant_events(tenant_).after(
+            think, [this, client, value, sent] {
+              send_response(client, value, sent, 1);
+            });
       });
 }
 
@@ -117,7 +107,7 @@ void EtcDriver::send_response(int client, Bytes value, TimeNs sent,
        attempt](const sim::ClusterSim::MessageResult& r) {
         if (r.aborted) {
           ++aborted_;
-          if (!retry_.enabled || attempt >= retry_.max_attempts) {
+          if (attempt >= retry_.max_attempts) {
             ++abandoned_;
             return;
           }
@@ -131,7 +121,8 @@ void EtcDriver::send_response(int client, Bytes value, TimeNs sent,
         }
         ++completed_;
         breakdown_.add(r);
-        latencies_us_.add(static_cast<double>(cluster_.tenant_events(tenant_).now() - sent) /
+        const TimeNs now = cluster_.tenant_events(tenant_).now();
+        latencies_us_.add(static_cast<double>(now - sent) /
                           static_cast<double>(kUsec));
       });
 }
@@ -159,16 +150,16 @@ void BulkDriver::pump(std::size_t pair_idx, int attempt) {
       [this, pair_idx, attempt](const sim::ClusterSim::MessageResult& r) {
         if (r.aborted) {
           ++aborted_;
-          if (!retry_.enabled || attempt >= retry_.max_attempts) {
+          if (attempt >= retry_.max_attempts) {
             ++abandoned_;
             pump(pair_idx, 1);  // abandon this chunk, move on
             return;
           }
           ++retried_;
-          cluster_.tenant_events(tenant_).after(retry_delay(retry_, attempt, rng_),
-                                  [this, pair_idx, attempt] {
-                                    pump(pair_idx, attempt + 1);
-                                  });
+          cluster_.tenant_events(tenant_).after(
+              retry_delay(retry_, attempt, rng_), [this, pair_idx, attempt] {
+                pump(pair_idx, attempt + 1);
+              });
           return;
         }
         ++completed_;
@@ -205,9 +196,10 @@ void BurstDriver::schedule_next() {
   const TimeNs t = cluster_.tenant_events(tenant_).now() +
                    static_cast<TimeNs>(gap_s * static_cast<double>(kSec));
   if (t > until_) return;
-  cluster_.tenant_events(tenant_).raw_at(
-      t, [](void* self, std::uint32_t) { static_cast<BurstDriver*>(self)->on_arrival(); },
-      this);
+  const auto arrive = [](void* self, std::uint32_t) {
+    static_cast<BurstDriver*>(self)->on_arrival();
+  };
+  cluster_.tenant_events(tenant_).raw_at(t, arrive, this);
 }
 
 void BurstDriver::on_arrival() {
@@ -226,7 +218,7 @@ void BurstDriver::send_one(int worker, TimeNs sent, int attempt) {
       [this, worker, sent, attempt](const sim::ClusterSim::MessageResult& r) {
         if (r.aborted) {
           ++aborted_;
-          if (!retry_.enabled || attempt >= retry_.max_attempts) {
+          if (attempt >= retry_.max_attempts) {
             ++abandoned_;
             return;
           }
@@ -288,20 +280,21 @@ void PoissonMessageDriver::send_one(TimeNs sent, int attempt) {
       [this, sent, attempt](const sim::ClusterSim::MessageResult& r) {
         if (r.aborted) {
           ++aborted_;
-          if (!retry_.enabled || attempt >= retry_.max_attempts) {
+          if (attempt >= retry_.max_attempts) {
             ++abandoned_;
             return;
           }
           ++retried_;
-          cluster_.tenant_events(tenant_).after(retry_delay(retry_, attempt, rng_),
-                                  [this, sent, attempt] {
-                                    send_one(sent, attempt + 1);
-                                  });
+          cluster_.tenant_events(tenant_).after(
+              retry_delay(retry_, attempt, rng_), [this, sent, attempt] {
+                send_one(sent, attempt + 1);
+              });
           return;
         }
         ++completed_;
         breakdown_.add(r);
-        latencies_us_.add(static_cast<double>(cluster_.tenant_events(tenant_).now() - sent) /
+        const TimeNs now = cluster_.tenant_events(tenant_).now();
+        latencies_us_.add(static_cast<double>(now - sent) /
                           static_cast<double>(kUsec));
       });
 }

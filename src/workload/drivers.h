@@ -10,29 +10,17 @@
 #include <vector>
 
 #include "sim/cluster.h"
+#include "util/retry.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workload/patterns.h"
 
 namespace silo::workload {
 
-/// Retry policy for messages the transport aborts (bounded-retry
-/// connection reset under faults). Disabled by default — the seed
-/// configuration never aborts. Retries use exponential backoff with
-/// uniform jitter, and deliberately ignore the driver's `until` cutoff:
-/// an accepted request is driven to completion (or abandonment after
-/// max_attempts) even after new load stops, which is what lets fault
-/// tests prove "every message eventually completes".
-struct RetryPolicy {
-  bool enabled = false;
-  int max_attempts = 6;  ///< total attempts per message, incl. the first
-  TimeNs base_backoff = 2 * kMsec;  ///< doubled per failed attempt
-  TimeNs max_backoff = 200 * kMsec;
-  double jitter = 0.5;  ///< +/- fraction of the backoff, uniform
-};
-
-/// Backoff before attempt `attempt + 1` (attempt counts from 1).
-TimeNs retry_delay(const RetryPolicy& p, int attempt, Rng& rng);
+// Drivers retry transport-aborted messages under set_retry() (no retry by
+// default), deliberately past the `until` cutoff: an accepted request is
+// driven to completion or abandonment even after new load stops, which is
+// what lets fault tests prove "every message eventually completes".
 
 /// Where delivered-message latency went, aggregated over a driver's run:
 /// one Stats series per MessageBreakdown component (us), plus the worst

@@ -52,7 +52,8 @@ TEST(ClusterSim, ConfigDeltaApplicationConsumesSimulatedTime) {
   sim.apply_config_deltas(deltas);
   // The cost is charged up front; the table lands only after the shipping
   // latency, so just before the first landing nothing is applied yet.
-  EXPECT_EQ(sim.metrics().value("controller.diff.applied"), 0);
+  EXPECT_EQ(obs::metric_value(sim.merged_metrics(), "controller.diff.applied"),
+            0);
   std::int64_t expected_ns = 0;
   for (const auto& d : deltas)
     expected_ns +=
@@ -60,10 +61,11 @@ TEST(ClusterSim, ConfigDeltaApplicationConsumesSimulatedTime) {
          sim.config().config_record_apply_cost *
              static_cast<std::int64_t>(d.removes.size() + d.upserts.size()))
             .count();
-  EXPECT_EQ(sim.metrics().value("controller.diff.apply_ns"), expected_ns);
+  EXPECT_EQ(obs::metric_value(sim.merged_metrics(), "controller.diff.apply_ns"),
+            expected_ns);
 
   sim.run_until(1 * kSec);
-  EXPECT_EQ(sim.metrics().value("controller.diff.applied"),
+  EXPECT_EQ(obs::metric_value(sim.merged_metrics(), "controller.diff.applied"),
             static_cast<std::int64_t>(deltas.size()));
   // Each server's applied table now reproduces the controller snapshot.
   for (const auto& d : deltas) {
@@ -212,7 +214,8 @@ TEST(ClusterSim, HoseShareSplitsAcrossSenders) {
   ClusterSim sim(spread_cluster(Scheme::kSilo));
   const auto t = sim.add_tenant(silo_tenant(4, 900 * kMbps));
   ASSERT_TRUE(t);
-  for (int v = 1; v < 4; ++v) ASSERT_NE(sim.vm_server(*t, v), sim.vm_server(*t, 0));
+  for (int v = 1; v < 4; ++v)
+    ASSERT_NE(sim.vm_server(*t, v), sim.vm_server(*t, 0));
   workload::BulkDriver bulk(sim, *t, {{1, 0}, {2, 0}, {3, 0}}, 128 * kKB);
   bulk.start(500 * kMsec);
   sim.run_until(500 * kMsec);
@@ -286,7 +289,8 @@ TEST(ClusterSim, RtoTrackingPerTenant) {
 
 TEST(ClusterSim, EtcDriverRoundTrips) {
   ClusterSim sim(small_cluster(Scheme::kSilo));
-  const auto t = sim.add_tenant(silo_tenant(5, 210 * kMbps, 3 * kKB, 2 * kMsec));
+  const auto t =
+      sim.add_tenant(silo_tenant(5, 210 * kMbps, 3 * kKB, 2 * kMsec));
   ASSERT_TRUE(t);
   workload::EtcDriver etc(sim, *t, 0, {1, 2, 3, 4}, {}, 13);
   etc.start(200 * kMsec);

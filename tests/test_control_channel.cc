@@ -23,6 +23,7 @@
 #include "sim/cluster.h"
 #include "sim/control_channel.h"
 #include "sim/faults.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "workload/drivers.h"
 #include "workload/patterns.h"
@@ -364,7 +365,8 @@ TEST(PacerConfigTable, SortedStorageMatchesMapModel) {
     if (step % 50 == 0) {
       std::vector<PacerConfigRecord> list;
       Model built;
-      for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 12)); i < n; ++i) {
+      const int n = static_cast<int>(rng.uniform_int(0, 12));
+      for (int i = 0; i < n; ++i) {
         list.push_back(record(key()));
         built.insert_or_assign({list.back().tenant, list.back().vm_index},
                                list.back());
@@ -372,7 +374,8 @@ TEST(PacerConfigTable, SortedStorageMatchesMapModel) {
       const PacerConfigTable from_list(list);
       EXPECT_TRUE(same_records(from_list.records(), model_records(built)))
           << "step " << step;
-      EXPECT_EQ(from_list.checksum(), pacer_config_checksum(model_records(built)));
+      EXPECT_EQ(from_list.checksum(),
+                pacer_config_checksum(model_records(built)));
     }
   }
   // The seeded stream really exercised every case.
@@ -751,8 +754,8 @@ ControlSoakOutcome run_control_soak(std::uint64_t seed) {
   bulk_req.guarantee = {500 * kMbps, Bytes{15 * kKB}, TimeNs{0}, 1 * kGbps};
   const auto tb = sim.add_tenant(bulk_req);
   EXPECT_TRUE(tb.has_value());
-  workload::RetryPolicy rp;
-  rp.enabled = true;
+  RetryPolicy rp;
+  rp.max_attempts = 6;
   workload::BulkDriver bulk(sim, *tb, workload::all_to_all(bulk_req.num_vms),
                             64 * kKB, seed);
   bulk.set_retry(rp);
@@ -832,16 +835,13 @@ ControlSoakOutcome run_control_soak(std::uint64_t seed) {
 
   ControlSoakOutcome out;
   out.converged = channel.converged();
-  out.state_checksum = 1469598103934665603ull;
+  out.state_checksum = kFnvTruncatedBasis;
   for (const int s : channel.shadow_servers()) {
     const auto want = pacer_config_checksum(ctl->server_config(s));
     if (fleet.checksum(s) != want || channel.shadow_checksum(s) != want ||
         fleet.buffered(s) != 0)
       out.fleet_matches = false;
-    for (int b = 0; b < 64; b += 8) {
-      out.state_checksum ^= (want >> b) & 0xff;
-      out.state_checksum *= 1099511628211ull;
-    }
+    out.state_checksum = fnv1a_word(out.state_checksum, want);
   }
   out.pool_live = sim.events().pool().live();
   out.completed = sim.total_completed_messages();

@@ -2,14 +2,16 @@
 //
 // The simulator's contract is bit-exact reproducibility: the same seed and
 // scenario must produce the identical packet trace on every run, whether
-// driven by one run_until or many small steps. The golden checksums below
-// were captured from the seed std::function/priority_queue engine and pin
-// the trace across the timing-wheel engine swap and all future scheduler
-// changes: same-time ties must keep breaking by insertion sequence.
+// driven by one run_until or many small steps. The golden values below pin
+// the delivery trace (ClusterSim::enable_delivery_trace()) across every
+// scheduler change: its size, its canonical checksum and its arrival-order
+// island checksum, so same-time ties must keep breaking by insertion
+// sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -24,21 +26,15 @@
 namespace silo {
 namespace {
 
-// FNV-1a over every delivered packet's observable fields.
-struct TraceChecksum {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 struct ScenarioResult {
-  std::uint64_t checksum = 0;
-  std::uint64_t packets = 0;
-  TimeNs end_time {};
+  std::uint64_t canonical = 0;  ///< delivery_trace_checksum()
+  std::uint64_t arrival = 0;    ///< island_trace_checksum()
+  std::int64_t packets = 0;     ///< delivery_trace_size()
+  bool operator==(const ScenarioResult&) const = default;
+  friend void PrintTo(const ScenarioResult& r, std::ostream* os) {
+    *os << "{" << r.canonical << "ull, " << r.arrival << "ull, " << r.packets
+        << "}";
+  }
 };
 
 // A scaled-down Fig-12-style scenario: one class-A OLDI tenant doing
@@ -54,19 +50,7 @@ ScenarioResult run_scenario(sim::Scheme scheme, TimeNs step = TimeNs{0}) {
   cfg.scheme = scheme;
   cfg.tcp.min_rto = 10 * kMsec;
   sim::ClusterSim cluster(cfg);
-
-  TraceChecksum ck;
-  std::uint64_t packets = 0;
-  cluster.set_packet_tap([&](const sim::Packet& p) {
-    ++packets;
-    ck.mix(static_cast<std::uint64_t>(cluster.events().now()));
-    ck.mix(static_cast<std::uint64_t>(p.flow_id));
-    ck.mix(static_cast<std::uint64_t>(p.seq));
-    ck.mix(static_cast<std::uint64_t>(p.ack_seq));
-    ck.mix(static_cast<std::uint64_t>(p.payload));
-    ck.mix((p.is_ack ? 1u : 0u) | (p.ecn_echo ? 2u : 0u) |
-           (p.ecn_marked ? 4u : 0u));
-  });
+  cluster.enable_delivery_trace();
 
   TenantRequest a;
   a.num_vms = 6;
@@ -98,7 +82,8 @@ ScenarioResult run_scenario(sim::Scheme scheme, TimeNs step = TimeNs{0}) {
   } else {
     cluster.run_until(horizon);
   }
-  return {ck.h, packets, cluster.events().now()};
+  return {cluster.delivery_trace_checksum(), cluster.island_trace_checksum(),
+          cluster.delivery_trace_size()};
 }
 
 TEST(Determinism, IdenticalTraceAcrossRuns) {
@@ -106,9 +91,8 @@ TEST(Determinism, IdenticalTraceAcrossRuns) {
                       sim::Scheme::kDctcp, sim::Scheme::kPfabric}) {
     const auto first = run_scenario(scheme);
     const auto second = run_scenario(scheme);
-    EXPECT_EQ(first.checksum, second.checksum) << sim::scheme_name(scheme);
-    EXPECT_EQ(first.packets, second.packets) << sim::scheme_name(scheme);
-    EXPECT_GT(first.packets, 1000u) << sim::scheme_name(scheme);
+    EXPECT_EQ(first, second) << sim::scheme_name(scheme);
+    EXPECT_GT(first.packets, 1000) << sim::scheme_name(scheme);
   }
 }
 
@@ -116,21 +100,24 @@ TEST(Determinism, SteppedRunUntilMatchesSingleShot) {
   for (auto scheme : {sim::Scheme::kSilo, sim::Scheme::kPfabric}) {
     const auto whole = run_scenario(scheme);
     const auto stepped = run_scenario(scheme, 613 * kUsec);  // odd step size
-    EXPECT_EQ(whole.checksum, stepped.checksum) << sim::scheme_name(scheme);
-    EXPECT_EQ(whole.packets, stepped.packets) << sim::scheme_name(scheme);
+    EXPECT_EQ(whole, stepped) << sim::scheme_name(scheme);
   }
 }
 
-// Golden trace checksums captured from the seed engine (std::function
-// closures over a binary heap). The timing-wheel engine must reproduce them
-// exactly: any divergence means event ordering or packet handling changed.
+// Golden delivery traces. The seed engine (std::function closures over a
+// binary heap) fixed the packet stream; these values were recorded from the
+// same stream, and every later engine must reproduce them exactly: any
+// divergence means event ordering or packet handling changed.
 TEST(Determinism, GoldenTraceChecksums) {
-  EXPECT_EQ(run_scenario(sim::Scheme::kSilo).checksum,
-            10889528649918140941ull);
-  EXPECT_EQ(run_scenario(sim::Scheme::kTcp).checksum,
-            12519951386387445179ull);
-  EXPECT_EQ(run_scenario(sim::Scheme::kPfabric).checksum,
-            2041424980266702288ull);
+  EXPECT_EQ(run_scenario(sim::Scheme::kSilo),
+            (ScenarioResult{11121953673522673563ull, 8057066124703975891ull,
+                            203118}));
+  EXPECT_EQ(run_scenario(sim::Scheme::kTcp),
+            (ScenarioResult{11991416437317057701ull, 7542358709878818077ull,
+                            287254}));
+  EXPECT_EQ(run_scenario(sim::Scheme::kPfabric),
+            (ScenarioResult{11878102065824478974ull, 5119188699899601702ull,
+                            287900}));
 }
 
 // The tx hot path must not heap-allocate in steady state: once the warmup
@@ -306,7 +293,7 @@ TEST(DeliveryTrace, MergedChecksumEqualsFullSort) {
                      std::tie(b.at_ns, b.src_vm, b.dst_vm, b.seq, b.ack_seq,
                               b.payload, b.flags);
             });
-  std::uint64_t want = sim::kFnvSeed;
+  std::uint64_t want = kFnvOffsetBasis;
   for (const auto& r : all) want = sim::fold_record(want, r);
 
   const std::vector<const sim::DeliveryTrace*> ptrs = {&traces[0], &traces[1],

@@ -10,6 +10,7 @@
 #include "core/controller.h"
 #include "sim/cluster.h"
 #include "sim/faults.h"
+#include "util/fnv.h"
 #include "workload/drivers.h"
 #include "workload/patterns.h"
 
@@ -65,12 +66,13 @@ TEST(PortFaults, LossWindowConservesEveryPacket) {
                        ++delivered;
                        ev.pool().free(h);
                      });
-  Rng rng(7);
-  port.set_loss(0.5, &rng);
+  port.set_loss(0.5, /*seed=*/7);
   const int sent = 200;
+  // The loss draw hashes the packet's identity, so each needs its own id.
   for (int i = 0; i < sent; ++i) {
     const PacketHandle h = pool.alloc();
     pool.get(h).wire_bytes = Bytes{1500};
+    pool.get(h).id = static_cast<std::uint64_t>(i);
     port.enqueue(h);
   }
   ev.run_until(1 * kSec);
@@ -80,11 +82,12 @@ TEST(PortFaults, LossWindowConservesEveryPacket) {
   EXPECT_EQ(port.stats().drops, 0);  // loss is a fault, not congestion
   EXPECT_EQ(pool.live(), 0);
 
-  port.set_loss(0, nullptr);
+  port.set_loss(0, /*seed=*/7);
   const std::int64_t before = delivered;
   for (int i = 0; i < 20; ++i) {
     const PacketHandle h = pool.alloc();
     pool.get(h).wire_bytes = Bytes{1500};
+    pool.get(h).id = static_cast<std::uint64_t>(i);
     port.enqueue(h);
   }
   ev.run_until(2 * kSec);
@@ -203,21 +206,10 @@ TEST(ClusterFaults, ServerCrashViaInjectorAbortsThenRecovers) {
 // aborts), no pool packet may leak, and the whole run must replay
 // bit-identically under the same seed.
 
-// FNV-1a over every delivered packet's observable fields (same scheme as
-// the determinism goldens).
-struct TraceChecksum {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 struct ShuffleOutcome {
-  std::uint64_t checksum = 0;
-  std::uint64_t packets = 0;
+  std::uint64_t checksum = 0;  ///< delivery_trace_checksum()
+  std::uint64_t arrival = 0;   ///< island_trace_checksum()
+  std::int64_t packets = 0;    ///< delivery_trace_size()
   std::int64_t completed = 0;
   std::int64_t aborted = 0;
   std::int64_t retried = 0;
@@ -237,18 +229,7 @@ ShuffleOutcome run_tor_uplink_shuffle() {
   cfg.tcp.min_rto = 2 * kMsec;
   cfg.tcp.max_consecutive_rtos = 3;
   ClusterSim sim(cfg);
-
-  TraceChecksum ck;
-  std::uint64_t packets = 0;
-  sim.set_packet_tap([&](const Packet& p) {
-    ++packets;
-    ck.mix(static_cast<std::uint64_t>(sim.events().now()));
-    ck.mix(static_cast<std::uint64_t>(p.flow_id));
-    ck.mix(static_cast<std::uint64_t>(p.seq));
-    ck.mix(static_cast<std::uint64_t>(p.ack_seq));
-    ck.mix(static_cast<std::uint64_t>(p.payload));
-    ck.mix(p.is_ack ? 1u : 0u);
-  });
+  sim.enable_delivery_trace();
 
   TenantRequest req;
   req.num_vms = 4;
@@ -265,8 +246,8 @@ ShuffleOutcome run_tor_uplink_shuffle() {
 
   workload::BulkDriver shuffle(sim, *t, workload::all_to_all(req.num_vms),
                                64 * kKB, /*seed=*/7);
-  workload::RetryPolicy rp;
-  rp.enabled = true;
+  RetryPolicy rp;
+  rp.max_attempts = 6;
   shuffle.set_retry(rp);
   shuffle.start(30 * kMsec);
 
@@ -281,8 +262,9 @@ ShuffleOutcome run_tor_uplink_shuffle() {
   sim.run_until(1 * kSec);
 
   ShuffleOutcome out;
-  out.checksum = ck.h;
-  out.packets = packets;
+  out.checksum = sim.delivery_trace_checksum();
+  out.arrival = sim.island_trace_checksum();
+  out.packets = sim.delivery_trace_size();
   out.completed = shuffle.completed_chunks();
   out.aborted = shuffle.aborted_messages();
   out.retried = shuffle.retried_messages();
@@ -311,6 +293,7 @@ TEST(ClusterFaults, TorUplinkFlapReplaysBitIdentically) {
   const auto a = run_tor_uplink_shuffle();
   const auto b = run_tor_uplink_shuffle();
   EXPECT_EQ(a.checksum, b.checksum);
+  EXPECT_EQ(a.arrival, b.arrival);
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.aborted, b.aborted);
@@ -330,7 +313,8 @@ std::uint64_t soak_seed_base() {
 }
 
 struct SoakOutcome {
-  std::uint64_t checksum = 0;
+  std::uint64_t checksum = 0;  ///< delivery_trace_checksum()
+  std::uint64_t arrival = 0;   ///< island_trace_checksum()
   std::int64_t completed = 0;
   std::int64_t aborted = 0;
   std::int64_t fault_drops = 0;
@@ -349,14 +333,7 @@ SoakOutcome run_soak(std::uint64_t seed) {
   cfg.tcp.min_rto = 2 * kMsec;
   cfg.tcp.max_consecutive_rtos = 3;
   ClusterSim sim(cfg);
-
-  TraceChecksum ck;
-  sim.set_packet_tap([&](const Packet& p) {
-    ck.mix(static_cast<std::uint64_t>(sim.events().now()));
-    ck.mix(static_cast<std::uint64_t>(p.flow_id));
-    ck.mix(static_cast<std::uint64_t>(p.seq));
-    ck.mix(static_cast<std::uint64_t>(p.payload));
-  });
+  sim.enable_delivery_trace();
 
   TenantRequest bulk_req;
   bulk_req.num_vms = 4;
@@ -371,8 +348,8 @@ SoakOutcome run_soak(std::uint64_t seed) {
   EXPECT_TRUE(tb.has_value());
   EXPECT_TRUE(tm.has_value());
 
-  workload::RetryPolicy rp;
-  rp.enabled = true;
+  RetryPolicy rp;
+  rp.max_attempts = 6;
   workload::BulkDriver bulk(sim, *tb, workload::all_to_all(bulk_req.num_vms),
                             64 * kKB, seed);
   bulk.set_retry(rp);
@@ -390,7 +367,8 @@ SoakOutcome run_soak(std::uint64_t seed) {
   sim.run_until(1 * kSec);  // every fault repaired by 32 ms; long drain
 
   SoakOutcome out;
-  out.checksum = ck.h;
+  out.checksum = sim.delivery_trace_checksum();
+  out.arrival = sim.island_trace_checksum();
   out.completed = sim.total_completed_messages();
   out.aborted = sim.total_aborted_messages();
   out.fault_drops = sim.total_fault_drops();
@@ -410,6 +388,7 @@ TEST(FaultSoak, RandomPlansConservePacketsAndReplayExactly) {
     // Determinism: the identical seed replays the identical trace.
     const auto b = run_soak(seed);
     EXPECT_EQ(a.checksum, b.checksum) << "seed " << seed;
+    EXPECT_EQ(a.arrival, b.arrival) << "seed " << seed;
     EXPECT_EQ(a.completed, b.completed) << "seed " << seed;
     EXPECT_EQ(a.aborted, b.aborted) << "seed " << seed;
     EXPECT_EQ(a.fault_drops, b.fault_drops) << "seed " << seed;
@@ -426,8 +405,9 @@ TEST(FaultSoak, RandomPlansConservePacketsAndReplayExactly) {
 
 TEST(ClusterFaults, TorUplinkFlapMatchesGoldenChecksum) {
   const auto out = run_tor_uplink_shuffle();
-  EXPECT_EQ(out.checksum, 8871870258756233443ull);
-  EXPECT_EQ(out.packets, 6258u);
+  EXPECT_EQ(out.checksum, 8996069246640304421ull);
+  EXPECT_EQ(out.arrival, 4878971793252270293ull);
+  EXPECT_EQ(out.packets, 6258);
 }
 
 // Drive the controller through the full recovery ladder — admissions up to
@@ -444,24 +424,27 @@ TEST(ControllerFaults, RecoveryLadderMatchesGoldenChecksum) {
   topo.vm_slots_per_server = 2;
   SiloController ctl(topo);
 
-  TraceChecksum ck;
+  std::uint64_t ck = kFnvTruncatedBasis;
+  const auto mix = [&ck](auto v) {
+    ck = fnv1a_word(ck, static_cast<std::uint64_t>(v));
+  };
   const auto mix_records = [&](const std::vector<PacerConfigRecord>& recs) {
-    ck.mix(recs.size());
+    mix(recs.size());
     for (const auto& r : recs) {
-      ck.mix(static_cast<std::uint64_t>(r.tenant));
-      ck.mix(static_cast<std::uint64_t>(r.vm_index));
-      ck.mix(static_cast<std::uint64_t>(r.server));
+      mix(r.tenant);
+      mix(r.vm_index);
+      mix(r.server);
       for (const auto& [peer_vm, peer_server] : r.peers) {
-        ck.mix(static_cast<std::uint64_t>(peer_vm));
-        ck.mix(static_cast<std::uint64_t>(peer_server));
+        mix(peer_vm);
+        mix(peer_server);
       }
     }
   };
   const auto mix_report = [&](const RecoveryReport& rep) {
     for (const auto* ids :
          {&rep.affected, &rep.replaced, &rep.degraded, &rep.unplaced}) {
-      ck.mix(ids->size());
-      for (const auto id : *ids) ck.mix(static_cast<std::uint64_t>(id));
+      mix(ids->size());
+      for (const auto id : *ids) mix(id);
     }
     mix_records(rep.refreshed);
   };
@@ -477,7 +460,7 @@ TEST(ControllerFaults, RecoveryLadderMatchesGoldenChecksum) {
     const auto h = ctl.admit(req);
     ASSERT_TRUE(h.has_value()) << vms << " VMs";
     handles.push_back(*h);
-    for (const int s : h->vm_to_server) ck.mix(static_cast<std::uint64_t>(s));
+    for (const int s : h->vm_to_server) mix(s);
   }
 
   mix_report(ctl.handle_server_failure(0));
@@ -488,14 +471,13 @@ TEST(ControllerFaults, RecoveryLadderMatchesGoldenChecksum) {
   // Final state: per-tenant status and placement, plus what each server's
   // hypervisor would be told to pace.
   for (const auto& h : handles) {
-    ck.mix(static_cast<std::uint64_t>(ctl.tenant_status(h.id)));
-    for (const int s : ctl.tenant_placement(h.id))
-      ck.mix(static_cast<std::uint64_t>(s));
+    mix(ctl.tenant_status(h.id));
+    for (const int s : ctl.tenant_placement(h.id)) mix(s);
   }
   for (int s = 0; s < ctl.topo().num_servers(); ++s)
     mix_records(ctl.server_config(s));
 
-  EXPECT_EQ(ck.h, 872242249491521731ull);
+  EXPECT_EQ(ck, 872242249491521731ull);
 }
 
 }  // namespace

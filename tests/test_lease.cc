@@ -498,10 +498,12 @@ TEST(LeaseCluster, LendsToBacklogAndReclaimsWhenOwnerWakes) {
   // lent within a few epochs and shows up as a raised hose rate.
   sim.send_message(borrower, 0, 1, 2 * kMB);
   sim.run_until(5 * kMsec);
-  const auto& m = sim.metrics();
+  const auto value = [&sim](const char* name) {
+    return obs::metric_value(sim.merged_metrics(), name);
+  };
   EXPECT_GT(sim.lease_epoch(), 0u);
-  EXPECT_GE(m.value("pacer.lease.granted"), 1);
-  EXPECT_GE(m.value("pacer.lease.applied"), 1);
+  EXPECT_GE(value("pacer.lease.granted"), 1);
+  EXPECT_GE(value("pacer.lease.applied"), 1);
   EXPECT_FALSE(sim.active_leases().empty());
   bool owner_lends = false;
   for (const auto& l : sim.active_leases())
@@ -511,8 +513,7 @@ TEST(LeaseCluster, LendsToBacklogAndReclaimsWhenOwnerWakes) {
   // Owner demand returns: its leases are reclaimed within an epoch or two.
   sim.send_message(owner, 0, 1, 2 * kMB);
   sim.run_until(10 * kMsec);
-  EXPECT_GE(m.value("pacer.lease.revoked") + m.value("pacer.lease.expired"),
-            1);
+  EXPECT_GE(value("pacer.lease.revoked") + value("pacer.lease.expired"), 1);
   bool owner_still_lends = false;
   for (const auto& l : sim.active_leases())
     owner_still_lends |= l.owner == owner;
@@ -527,10 +528,10 @@ TEST(LeaseCluster, LendingOffSchedulesNothingAndCountsNothing) {
   sim.run_until(10 * kMsec);
   EXPECT_EQ(sim.lease_epoch(), 0u);
   EXPECT_TRUE(sim.active_leases().empty());
-  const auto& m = sim.metrics();
-  EXPECT_EQ(m.value("pacer.lease.granted"), 0);
-  EXPECT_EQ(m.value("pacer.lease.applied"), 0);
-  EXPECT_EQ(m.value("pacer.lease.active"), 0);
+  const auto m = sim.merged_metrics();
+  EXPECT_EQ(obs::metric_value(m, "pacer.lease.granted"), 0);
+  EXPECT_EQ(obs::metric_value(m, "pacer.lease.applied"), 0);
+  EXPECT_EQ(obs::metric_value(m, "pacer.lease.active"), 0);
 }
 
 }  // namespace

@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "par/thread_executor.h"
 #include "sim/cluster.h"
 #include "sim/faults.h"
 #include "sim/parallel.h"
+#include "util/fnv.h"
 #include "workload/drivers.h"
 #include "workload/patterns.h"
 
@@ -64,7 +66,8 @@ TEST(IslandPartition, SharedPodQueuesBecomeDedicatedIslands) {
   EXPECT_EQ(part.island_of_server(topo, 8), a);
   EXPECT_EQ(part.island_of_server(topo, 12), b);
   EXPECT_NE(a, b);
-  const int up0 = part.port_island[static_cast<std::size_t>(topo.pod_up(0).value)];
+  const int up0 =
+      part.port_island[static_cast<std::size_t>(topo.pod_up(0).value)];
   EXPECT_NE(up0, a);
   EXPECT_NE(up0, b);
   EXPECT_EQ(part.num_islands, 6);  // 2 rack groups + 4 pod queues
@@ -110,6 +113,10 @@ struct Outcome {
   int islands = 0;
   std::int64_t completed = 0;
   std::vector<obs::MetricSample> metrics;
+  // Flap scenario only.
+  std::int64_t loss_drops = 0;  ///< fault drops at the loss-window port
+  std::int64_t unfinished = 0;  ///< abandoned messages + unacked bytes
+  std::uint64_t configs = 0;    ///< every server's applied pacer state
 };
 
 /// threads == -1: the one-island partition. threads == 0: parallel engine,
@@ -149,8 +156,8 @@ Outcome run_flap_scenario(int threads) {
   const int tc = cluster.add_tenant_pinned(bulk, {1, 2});
   const int td = cluster.add_tenant_pinned(bulk, {5, 6});
 
-  workload::RetryPolicy rp;
-  rp.enabled = true;
+  RetryPolicy rp;
+  rp.max_attempts = 6;
   workload::PoissonMessageDriver pa(cluster, ta, 0, 1, 4000, 15 * kKB, 11);
   workload::PoissonMessageDriver pb(cluster, tb, 0, 1, 4000, 15 * kKB, 12);
   workload::BulkDriver bc(cluster, tc, workload::all_to_all(2), 64 * kKB, 13);
@@ -164,16 +171,58 @@ Outcome run_flap_scenario(int threads) {
   bc.start(30 * kMsec);
   bd.start(30 * kMsec);
 
-  // The satellite fault scenario: flap rack 0's ToR uplink mid-run. The
-  // downed link kills tenant A's cross-pod traffic; retries recover it.
+  // Faults: flap rack 0's ToR uplink mid-run (the downed link kills
+  // tenant A's cross-pod traffic; retries recover it), and open a loss
+  // window on pod 0's uplink, its own island, which both pod-spanning
+  // tenants cross.
+  const topology::PortId lossy = cluster.topo().pod_up(0);
   sim::FaultPlan plan;
   plan.link_flap(10 * kMsec, cluster.topo().rack_up(0), 8 * kMsec);
+  plan.loss_window(12 * kMsec, 20 * kMsec, lossy, 0.05);
   sim::FaultInjector chaos(cluster, plan);
   chaos.arm();
 
-  cluster.run_until(60 * kMsec);
+  cluster.run_until(20 * kMsec);
+  // Control plane between runs: pacer records for the pod-spanning
+  // tenants' servers (islands in both pods), and a lease that raises
+  // tenant D's VM 0 by 200 Mbps on its server.
+  std::vector<PacerConfigDelta> deltas;
+  for (const int t : {ta, tb}) {
+    for (int v = 0; v < 2; ++v) {
+      PacerConfigDelta d;
+      d.server = cluster.vm_server(t, v);
+      const int peer = 1 - v;
+      d.upserts.push_back({t, v, d.server, ds.guarantee,
+                           {{peer, cluster.vm_server(t, peer)}}});
+      deltas.push_back(std::move(d));
+    }
+  }
+  PacerConfigDelta lease;
+  lease.server = cluster.vm_server(td, 0);
+  lease.lease_epoch = 1;
+  lease.lease_upserts.push_back(
+      {/*id=*/1, /*owner=*/tc, /*borrower=*/td, /*vm_index=*/0, lease.server,
+       200 * kMbps, /*issued_epoch=*/1, /*expiry_epoch=*/100});
+  deltas.push_back(std::move(lease));
+  cluster.apply_config_deltas(deltas);
+  cluster.run_until(80 * kMsec);
 
   Outcome out;
+  out.loss_drops = cluster.fabric().port(lossy).stats().fault_drops;
+  out.unfinished = pa.abandoned_messages() + pb.abandoned_messages() +
+                   bc.abandoned_chunks() + bd.abandoned_chunks();
+  for (const int t : {ta, tb, tc, td}) {
+    for (const auto& [src, dst] : {std::pair{0, 1}, std::pair{1, 0}}) {
+      if (const sim::TcpFlow* f = cluster.debug_flow(t, src, dst))
+        out.unfinished += f->bytes_written() - f->bytes_acked();
+    }
+  }
+  out.configs = kFnvTruncatedBasis;
+  for (int s = 0; s < cluster.topo().num_servers(); ++s) {
+    const PacerConfigTable& table = cluster.host(s).pacer_config();
+    out.configs = fnv1a_word(out.configs, table.checksum());
+    out.configs = fnv1a_word(out.configs, table.lease_checksum());
+  }
   out.delivery_checksum = cluster.delivery_trace_checksum();
   out.island_checksum = cluster.island_trace_checksum();
   out.deliveries = cluster.delivery_trace_size();
@@ -285,12 +334,18 @@ void expect_metrics_equal(const std::vector<obs::MetricSample>& a,
 // The tentpole acceptance test. Baseline: the one-island partition.
 // Every parallel run — serial fallback and thread pool at 1/2/4/8 — must
 // reproduce its delivery trace bit-for-bit, agree on the merged metric
-// snapshot, and never hit a cross-island tie (which certifies the checksum
+// snapshot (the loss window's fault drops and the deltas' controller.diff.*
+// and pacer.lease.applied included) and on every server's applied pacer
+// state, and never hit a cross-island tie (which certifies the checksum
 // equality is structural, not a lucky tie-break).
 TEST(ParallelDeterminism, FlapMatrixBitIdenticalAcrossThreadCounts) {
   const Outcome seq = run_flap_scenario(-1);
   ASSERT_GT(seq.deliveries, 1000);
   EXPECT_GT(seq.completed, 0);
+  EXPECT_GT(seq.loss_drops, 0);
+  EXPECT_EQ(seq.unfinished, 0);
+  EXPECT_EQ(obs::metric_value(seq.metrics, "controller.diff.applied"), 5);
+  EXPECT_EQ(obs::metric_value(seq.metrics, "pacer.lease.applied"), 1);
 
   const Outcome serial = run_flap_scenario(0);
   EXPECT_EQ(serial.islands, 6);
@@ -299,6 +354,9 @@ TEST(ParallelDeterminism, FlapMatrixBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.delivery_checksum, seq.delivery_checksum);
   EXPECT_EQ(serial.deliveries, seq.deliveries);
   EXPECT_EQ(serial.completed, seq.completed);
+  EXPECT_EQ(serial.loss_drops, seq.loss_drops);
+  EXPECT_EQ(serial.unfinished, 0);
+  EXPECT_EQ(serial.configs, seq.configs);
   expect_metrics_equal(serial.metrics, seq.metrics, /*exact_hist_sum=*/false);
 
   for (const int threads : {1, 2, 4, 8}) {
@@ -309,6 +367,9 @@ TEST(ParallelDeterminism, FlapMatrixBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(par.rounds, serial.rounds) << threads;
     EXPECT_EQ(par.ties, 0) << threads;
     EXPECT_EQ(par.completed, seq.completed) << threads;
+    EXPECT_EQ(par.loss_drops, seq.loss_drops) << threads;
+    EXPECT_EQ(par.unfinished, 0) << threads;
+    EXPECT_EQ(par.configs, seq.configs) << threads;
     expect_metrics_equal(par.metrics, serial.metrics);
   }
 }
@@ -446,25 +507,15 @@ TEST(ParallelDeterminism, SymmetricRacksAgreeOnDeliveryTrace) {
 }
 
 // Sequential-only surfaces must refuse loudly in parallel mode instead of
-// silently racing: the single-queue accessor, the unsharded registry, the
-// debug tap, controller deltas, lending, loss-rate fault windows, and
-// post-materialization admission.
+// silently racing: the single-queue accessor, the flight recorder, lending,
+// and post-materialization admission.
 TEST(ParallelMode, SequentialOnlySurfacesThrow) {
   sim::ClusterConfig cfg;
   cfg.topo = two_pod_topo();
   cfg.parallel.enabled = true;
   sim::ClusterSim cluster(cfg);
   EXPECT_THROW(cluster.events(), std::logic_error);
-  EXPECT_THROW(cluster.metrics(), std::logic_error);
-  EXPECT_THROW(cluster.set_packet_tap([](const sim::Packet&) {}),
-               std::logic_error);
-  EXPECT_THROW(cluster.apply_config_deltas({}), std::logic_error);
   EXPECT_THROW(cluster.enable_flight_recorder(64), std::logic_error);
-
-  sim::FaultPlan loss;
-  loss.loss_window(kMsec, 2 * kMsec, cluster.topo().rack_up(0), 0.1);
-  sim::FaultInjector chaos(cluster, loss);
-  EXPECT_THROW(chaos.arm(), std::logic_error);
 
   sim::ClusterConfig lend = cfg;
   lend.lending.enabled = true;
@@ -486,8 +537,9 @@ TEST(ParallelMode, SequentialOnlySurfacesThrow) {
   EXPECT_EQ(cluster.num_tenants(), 1);
 }
 
-// arm() is all-or-nothing: the plan's link flap comes before the loss
-// window it cannot run, and must not be left scheduled by the throw.
+// arm() is all-or-nothing: the plan's link flap comes before the link
+// fault on a port that does not exist, and must not be left scheduled by
+// the throw.
 TEST(ParallelMode, RejectedFaultPlanArmsNothing) {
   sim::ClusterConfig cfg;
   cfg.topo = two_pod_topo();
@@ -501,9 +553,9 @@ TEST(ParallelMode, RejectedFaultPlanArmsNothing) {
 
   sim::FaultPlan plan;
   plan.link_flap(kMsec, cluster.topo().rack_up(0), kMsec);
-  plan.loss_window(kMsec, 2 * kMsec, cluster.topo().rack_up(0), 0.1);
+  plan.link_down(2 * kMsec, topology::PortId{cluster.topo().num_ports()});
   sim::FaultInjector chaos(cluster, plan);
-  EXPECT_THROW(chaos.arm(), std::logic_error);
+  EXPECT_THROW(chaos.arm(), std::out_of_range);
   cluster.run_until(5 * kMsec);
   EXPECT_EQ(chaos.executed(), 0);
 }
@@ -520,7 +572,8 @@ TEST(ThreadPoolExecutor, RunsAllAndRethrowsLowestIndex) {
 
   try {
     pool.parallel_for(8, [](int i) {
-      if (i == 3 || i == 6) throw std::runtime_error("island " + std::to_string(i));
+      if (i == 3 || i == 6)
+        throw std::runtime_error("island " + std::to_string(i));
     });
     FAIL() << "expected the island exception to propagate";
   } catch (const std::runtime_error& e) {
