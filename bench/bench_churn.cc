@@ -3,10 +3,12 @@
 // full-recompute reference, at 1K / 8K / 32K servers.
 //
 // Both modes run the *identical* seeded op sequence; the bench checks the
-// correctness bar inline (placement decisions are bit-identical, and the
-// incremental mode's drained PacerConfigDeltas, applied to per-server
-// tables, reproduce the full server_config snapshots checksum-for-
-// checksum) before reporting the speedup.
+// correctness bar inline (placement decisions are bit-identical, and each
+// mode's drained PacerConfigDeltas, applied to per-server tables,
+// reproduce the full server_config snapshots checksum-for-checksum)
+// before reporting the speedup. Each mode's storm is timed kReps times per
+// scale, each time on a freshly prefilled controller, and reported as the
+// median ops/s with its quartiles; every repetition is checked.
 // With --restart-every=N (N > 0) a third, journal-attached run crashes the
 // controller every N storm ops and rebuilds it from the serialized
 // DeltaJournal, measuring recovery latency (journal replay + control-
@@ -44,6 +46,24 @@ constexpr ScaleSpec kScales[] = {
     {"32k", 16, 50, 40},
 };
 
+/// Timed storms per mode and scale. One storm lasts a few ms, so a single
+/// sample swings several-fold on a shared host.
+constexpr int kReps = 9;
+
+/// Nearest-rank quartiles of a sample.
+struct Spread {
+  double q1 = 0, median = 0, q3 = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    return v[static_cast<std::size_t>(
+        q * static_cast<double>(v.size() - 1) + 0.5)];
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
 TenantRequest sample_request(Rng& rng) {
   TenantRequest req;
   req.num_vms = 2 + static_cast<int>(rng.uniform_int(0, 12));
@@ -64,8 +84,18 @@ struct StormResult {
   std::int64_t deltas = 0, upserts = 0, removes = 0;
   std::uint64_t decision_checksum = 0;  ///< placements, in op order
   std::uint64_t config_checksum = 0;    ///< sampled server_config snapshots
-  bool deltas_match_snapshots = true;   ///< incremental mode only
+  bool deltas_match_snapshots = true;
+  double ops_per_sec() const {
+    return static_cast<double>(ops) / storm_seconds;
+  }
 };
+
+/// Both storms made the same decisions and shipped the same deltas.
+bool same_history(const StormResult& a, const StormResult& b) {
+  return a.decision_checksum == b.decision_checksum &&
+         a.config_checksum == b.config_checksum && a.deltas == b.deltas &&
+         a.upserts == b.upserts && a.removes == b.removes;
+}
 
 /// Run prefill + storm on one controller. The rng seed and op mix are
 /// identical across modes, and decisions are too (verified via checksums),
@@ -73,9 +103,7 @@ struct StormResult {
 StormResult run_storm(const topology::TopologyConfig& tcfg,
                       placement::AdmissionMode mode, std::int64_t prefill,
                       std::int64_t ops, std::uint64_t seed) {
-  SiloController::Options opts;
-  opts.admission_mode = mode;
-  SiloController ctl(tcfg, opts);
+  SiloController ctl(tcfg, mode);
   Rng rng(seed);
   StormResult r;
 
@@ -166,12 +194,10 @@ StormResult run_storm(const topology::TopologyConfig& tcfg,
     std::uint64_t& h = r.config_checksum;
     h = fnv1a_word(h, static_cast<std::uint64_t>(s));
     h = fnv1a_word(h, snap_sum);
-    if (mode == placement::AdmissionMode::kIncremental) {
-      const auto it = fleet.find(s);
-      const std::uint64_t applied =
-          it == fleet.end() ? pacer_config_checksum({}) : it->second.checksum();
-      if (applied != snap_sum) r.deltas_match_snapshots = false;
-    }
+    const auto it = fleet.find(s);
+    const std::uint64_t applied =
+        it == fleet.end() ? pacer_config_checksum({}) : it->second.checksum();
+    if (applied != snap_sum) r.deltas_match_snapshots = false;
   }
   r.deltas = ctl.metrics().value("controller.diff.deltas");
   r.upserts = ctl.metrics().value("controller.diff.upserts");
@@ -202,10 +228,8 @@ RestartResult run_restart_storm(const topology::TopologyConfig& tcfg,
                                 std::uint64_t seed,
                                 std::int64_t restart_every,
                                 std::int64_t snapshot_every) {
-  SiloController::Options opts;
-  opts.admission_mode = placement::AdmissionMode::kIncremental;
   std::optional<SiloController> ctl;
-  ctl.emplace(tcfg, opts);
+  ctl.emplace(tcfg);
   DeltaJournal journal;
   ctl->attach_journal(&journal, snapshot_every);
 
@@ -257,7 +281,7 @@ RestartResult run_restart_storm(const topology::TopologyConfig& tcfg,
     // Full durability path: serialize the journal (as if synced to disk),
     // lose the controller, rebuild one from the deserialized bytes.
     journal = DeltaJournal::deserialize(journal.serialize());
-    ctl.emplace(tcfg, opts);
+    ctl.emplace(tcfg);
     ctl->recover_from_journal(journal, snapshot_every);
     // Replay re-emits the whole delta backlog; the channel resyncs its
     // shadow straight from the recovered controller instead.
@@ -340,15 +364,19 @@ int main(int argc, char** argv) {
   const auto restart_every = flags.geti("restart-every", 0);
   const auto snapshot_every = flags.geti("snapshot-every", 64);
 
+  const std::string about =
+      "Seeded admit/release/fail/restore mix against SiloController in\n"
+      "kIncremental (in-place port loads, tenant indexes) and kFullRescan\n"
+      "(rebuild-everything reference) modes, both shipping pacer-config\n"
+      "deltas. Identical op sequences; decisions, configs and deltas must\n"
+      "checksum-match. ops/s: median and quartiles of " +
+      std::to_string(kReps) + " storms per mode.";
   bench::print_header(
       "Control-plane churn storm: incremental vs full-recompute admission",
-      "Seeded admit/release/fail/restore mix against SiloController in\n"
-      "kIncremental (in-place port loads, tenant indexes, pacer-config\n"
-      "deltas) and kFullRescan (rebuild-everything reference) modes.\n"
-      "Identical op sequences; decisions and configs must checksum-match.");
+      about.c_str());
 
-  TextTable table({"scale", "servers", "tenants", "inc ops/s", "full ops/s",
-                   "speedup", "golden"});
+  TextTable table({"scale", "servers", "tenants", "inc ops/s", "inc q1-q3",
+                   "full ops/s", "full q1-q3", "speedup", "golden"});
   TextTable rtable({"scale", "recoveries", "mean ms", "max ms", "replayed",
                     "ae rounds", "golden"});
   bench::JsonObject json;
@@ -372,39 +400,53 @@ int main(int argc, char** argv) {
     const std::int64_t prefill =
         flags.geti("tenants", std::max<std::int64_t>(64, spec.servers() / 16));
 
-    const auto inc = run_storm(tcfg, placement::AdmissionMode::kIncremental,
+    // The modes alternate so host noise spreads over both alike.
+    std::optional<StormResult> inc;
+    std::vector<double> inc_rates, full_rates;
+    bool golden = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto i = run_storm(tcfg, placement::AdmissionMode::kIncremental,
                                prefill, ops, seed);
-    const auto full = run_storm(tcfg, placement::AdmissionMode::kFullRescan,
-                                prefill, ops, seed);
-
-    const bool golden = inc.deltas_match_snapshots &&
-                        inc.decision_checksum == full.decision_checksum &&
-                        inc.config_checksum == full.config_checksum;
+      const auto f = run_storm(tcfg, placement::AdmissionMode::kFullRescan,
+                               prefill, ops, seed);
+      if (!inc) inc = i;
+      golden = golden && i.deltas_match_snapshots &&
+               f.deltas_match_snapshots && same_history(i, f) &&
+               same_history(i, *inc);
+      inc_rates.push_back(i.ops_per_sec());
+      full_rates.push_back(f.ops_per_sec());
+    }
     all_golden = all_golden && golden;
-    const double inc_rate = static_cast<double>(inc.ops) / inc.storm_seconds;
-    const double full_rate =
-        static_cast<double>(full.ops) / full.storm_seconds;
-    const double speedup = full.storm_seconds / inc.storm_seconds;
+    const Spread inc_rate = spread_of(inc_rates);
+    const Spread full_rate = spread_of(full_rates);
+    const double speedup = inc_rate.median / full_rate.median;
+    const auto iqr = [](const Spread& s) {
+      return TextTable::fmt(s.q1, 0) + "-" + TextTable::fmt(s.q3, 0);
+    };
 
     table.add_row({spec.name, std::to_string(spec.servers()),
-                   std::to_string(prefill), TextTable::fmt(inc_rate, 0),
-                   TextTable::fmt(full_rate, 0), TextTable::fmt(speedup, 1),
+                   std::to_string(prefill), TextTable::fmt(inc_rate.median, 0),
+                   iqr(inc_rate), TextTable::fmt(full_rate.median, 0),
+                   iqr(full_rate), TextTable::fmt(speedup, 1),
                    golden ? "ok" : "MISMATCH"});
 
     bench::JsonObject entry;
     entry.put("servers", spec.servers())
         .put("tenants", prefill)
-        .put("inc_ops_per_sec", inc_rate)
-        .put("full_ops_per_sec", full_rate)
+        .put("reps", kReps)
+        .put("inc_ops_per_sec", inc_rate.median)
+        .put("inc_ops_per_sec_q1", inc_rate.q1)
+        .put("inc_ops_per_sec_q3", inc_rate.q3)
+        .put("full_ops_per_sec", full_rate.median)
+        .put("full_ops_per_sec_q1", full_rate.q1)
+        .put("full_ops_per_sec_q3", full_rate.q3)
         .put("speedup", speedup)
-        .put("inc_storm_seconds", inc.storm_seconds)
-        .put("full_storm_seconds", full.storm_seconds)
-        .put("admits", inc.admits)
-        .put("releases", inc.releases)
-        .put("fail_restore_pairs", inc.fails)
-        .put("diff_deltas", inc.deltas)
-        .put("diff_upserts", inc.upserts)
-        .put("diff_removes", inc.removes)
+        .put("admits", inc->admits)
+        .put("releases", inc->releases)
+        .put("fail_restore_pairs", inc->fails)
+        .put("diff_deltas", inc->deltas)
+        .put("diff_upserts", inc->upserts)
+        .put("diff_removes", inc->removes)
         .put("golden_ok", std::string(golden ? "true" : "false"));
 
     if (restart_every > 0) {
@@ -412,8 +454,8 @@ int main(int argc, char** argv) {
                                         restart_every, snapshot_every);
       const bool golden_restart =
           rr.converged_ok && rr.fleet_matches_snapshots &&
-          rr.decision_checksum == inc.decision_checksum &&
-          rr.config_checksum == inc.config_checksum;
+          rr.decision_checksum == inc->decision_checksum &&
+          rr.config_checksum == inc->config_checksum;
       all_golden = all_golden && golden_restart;
       const double mean_ms =
           rr.recoveries > 0

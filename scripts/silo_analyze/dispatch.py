@@ -101,18 +101,15 @@ FIELD_SITES = [
                           "to pick the destination agent, opaque to apply"}),
     FieldSite(
         "JournalRecord", "src/core/journal.h",
-        "record_chain", "src/core/journal.cc",
-        "a field outside the chain checksum is tamperable without "
-        "detection",
-        exempt={"chain": "the chain head itself — output of the fold, "
-                         "not input"}),
+        "write_record", "src/core/journal.cc",
+        "a field outside the record encoding is lost across crash + "
+        "recovery and tamperable without detection (the chain value "
+        "hashes exactly these bytes)",
+        exempt={"chain": "the chain value itself — the hash of these "
+                         "bytes, written after them"}),
     FieldSite(
         "JournalRecord", "src/core/journal.h",
-        "DeltaJournal::serialize", "src/core/journal.cc",
-        "an unserialized field is lost across crash + recovery"),
-    FieldSite(
-        "JournalRecord", "src/core/journal.h",
-        "DeltaJournal::deserialize", "src/core/journal.cc",
+        "read_record", "src/core/journal.cc",
         "an unread field desynchronizes the byte codec"),
     FieldSite(
         "PacerLeaseRecord", "src/pacer/pacer_config.h",

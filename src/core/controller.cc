@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "netcalc/curve.h"
 
 namespace silo {
 
 SiloController::SiloController(const topology::TopologyConfig& topo,
-                               const Options& options)
+                               placement::AdmissionMode mode)
     : topo_(topo),
-      engine_(topo_, options.policy, options.nic_delay_allowance,
-              options.hose_tightening, options.admission_mode) {
+      engine_(topo_, placement::Policy::kSilo, 50 * kUsec,
+              /*hose_tightening=*/true, mode) {
   m_admissions_ = metrics_.counter("controller.admissions", "tenants",
                                    "controller");
   m_rejections_ = metrics_.counter("controller.rejections", "tenants",
@@ -120,15 +121,13 @@ std::optional<TenantHandle> SiloController::admit(
   }
   m_admissions_.inc();
   note_changed(placed->id, placed->id);
-  TenantHandle handle{placed->id, placed->vm_to_server};
+  TenantHandle handle{placed->id, std::move(placed->vm_to_server)};
   auto it = tenants_
-                .emplace(placed->id,
-                         TenantState{request, placed->vm_to_server, {},
-                                     placed->id, TenantStatus::kGuaranteed})
+                .emplace(placed->id, TenantState{request, placed->id,
+                                                 TenantStatus::kGuaranteed})
                 .first;
   engine_to_external_.emplace(placed->id, placed->id);
-  emit_config_deltas(placed->id, it->second,
-                     request.tenant_class != TenantClass::kBestEffort);
+  emit_config_deltas(placed->id, it->second, /*shipped=*/{});
   maybe_compact();
   return handle;
 }
@@ -142,12 +141,14 @@ void SiloController::release(const TenantHandle& handle) {
   journal_op(std::move(jrec));
   auto& state = it->second;
   note_changed(handle.id, state.engine_id);
+  const std::vector<int> shipped = shipped_placement(state);
   if (state.engine_id >= 0) {
     engine_.remove(state.engine_id);
     engine_to_external_.erase(state.engine_id);
+    state.engine_id = -1;
   }
   revoke_leases_for_tenant(handle.id);
-  emit_config_deltas(handle.id, state, /*now_paced=*/false);
+  emit_config_deltas(handle.id, state, shipped);
   non_guaranteed_.erase(handle.id);
   tenants_.erase(it);
   m_releases_.inc();
@@ -175,54 +176,52 @@ std::vector<placement::TenantId> SiloController::to_external(
   return out;
 }
 
-PacerConfigRecord SiloController::make_record(placement::TenantId id,
-                                              const TenantState& state,
-                                              int vm) const {
+PacerConfigRecord SiloController::make_record(
+    placement::TenantId id, const TenantRequest& request,
+    const std::vector<int>& vm_to_server, int vm) {
   PacerConfigRecord rec;
   rec.tenant = id;
   rec.vm_index = vm;
-  rec.server = state.vm_to_server[static_cast<std::size_t>(vm)];
-  rec.guarantee = state.request.guarantee;
-  for (int p = 0; p < state.request.num_vms; ++p) {
+  rec.server = vm_to_server[static_cast<std::size_t>(vm)];
+  rec.guarantee = request.guarantee;
+  for (int p = 0; p < request.num_vms; ++p) {
     if (p == vm) continue;
-    rec.peers.emplace_back(p, state.vm_to_server[static_cast<std::size_t>(p)]);
+    rec.peers.emplace_back(p, vm_to_server[static_cast<std::size_t>(p)]);
   }
   return rec;
 }
 
-void SiloController::append_records(
-    placement::TenantId id, const TenantState& state,
-    std::vector<PacerConfigRecord>& out) const {
-  if (state.request.tenant_class == TenantClass::kBestEffort) return;
-  for (int v = 0; v < state.request.num_vms; ++v) {
-    out.push_back(make_record(id, state, v));
-  }
+std::vector<int> SiloController::tenant_placement(
+    placement::TenantId id) const {
+  const auto& state = tenants_.at(id);
+  if (state.engine_id < 0)
+    return std::vector<int>(static_cast<std::size_t>(state.request.num_vms),
+                            -1);
+  return engine_.placement_of(state.engine_id);
+}
+
+std::vector<int> SiloController::shipped_placement(
+    const TenantState& state) const {
+  if (!state.paced()) return {};
+  return engine_.placement_of(state.engine_id);
 }
 
 void SiloController::emit_config_deltas(placement::TenantId id,
-                                        TenantState& state, bool now_paced) {
-  if (engine_.admission_mode() != placement::AdmissionMode::kIncremental) {
-    // Full-snapshot protocol: nothing queued, but track shipped state so a
-    // mode flip mid-life (not supported) fails loudly in tests.
-    state.paced_vm_to_server.clear();
-    if (now_paced) state.paced_vm_to_server = state.vm_to_server;
-    return;
-  }
-  const bool was_paced = !state.paced_vm_to_server.empty();
-  if (!was_paced && !now_paced) return;
+                                        const TenantState& state,
+                                        const std::vector<int>& shipped) {
+  const bool now_paced = state.paced();
+  if (shipped.empty() && !now_paced) return;
   // One delta per affected server; within a delta removals apply before
   // upserts, so a VM whose record merely changed (e.g. a peer moved) is
   // simply rewritten in place.
   std::map<int, PacerConfigDelta> by_server;
-  for (std::size_t v = 0; v < state.paced_vm_to_server.size(); ++v) {
-    const int server = state.paced_vm_to_server[v];
-    if (server < 0) continue;
-    by_server[server].removes.emplace_back(id, static_cast<int>(v));
-  }
+  for (std::size_t v = 0; v < shipped.size(); ++v)
+    by_server[shipped[v]].removes.emplace_back(id, static_cast<int>(v));
   if (now_paced) {
+    const auto& placed = engine_.placement_of(state.engine_id);
     for (int v = 0; v < state.request.num_vms; ++v) {
-      const int server = state.vm_to_server[static_cast<std::size_t>(v)];
-      by_server[server].upserts.push_back(make_record(id, state, v));
+      by_server[placed[static_cast<std::size_t>(v)]].upserts.push_back(
+          make_record(id, state.request, placed, v));
     }
   }
   for (auto& [server, delta] : by_server) {
@@ -233,8 +232,6 @@ void SiloController::emit_config_deltas(placement::TenantId id,
     m_diff_removes_.inc(static_cast<std::int64_t>(delta.removes.size()));
     pending_deltas_.push_back(std::move(delta));
   }
-  state.paced_vm_to_server.clear();
-  if (now_paced) state.paced_vm_to_server = state.vm_to_server;
 }
 
 std::vector<PacerConfigDelta> SiloController::drain_config_deltas() {
@@ -248,8 +245,6 @@ std::vector<PacerConfigDelta> SiloController::drain_config_deltas() {
 void SiloController::emit_lease_delta(int server,
                                       std::vector<std::uint64_t> removes,
                                       std::vector<PacerLeaseRecord> upserts) {
-  if (engine_.admission_mode() != placement::AdmissionMode::kIncremental)
-    return;  // lease overlays ride the delta protocol only
   PacerConfigDelta delta;
   delta.server = server;
   delta.lease_epoch = lease_epoch_;
@@ -289,14 +284,16 @@ std::optional<std::uint64_t> SiloController::grant_lease(
   int server = -1;
   if (ok) {
     const auto& bstate = bit->second;
-    ok = borrower_vm >= 0 && borrower_vm < bstate.request.num_vms;
-    if (ok) server = bstate.vm_to_server[static_cast<std::size_t>(borrower_vm)];
-    ok = ok && server >= 0;
+    ok = borrower_vm >= 0 && borrower_vm < bstate.request.num_vms &&
+         bstate.engine_id >= 0;  // an unplaced borrower has no server
+    if (ok)
+      server = engine_.placement_of(
+          bstate.engine_id)[static_cast<std::size_t>(borrower_vm)];
   }
   if (ok) {
     // Same-server lending only: the lent headroom is the owner's idle
     // uplink reservation on the very NIC the borrower shares.
-    const auto& placed = oit->second.vm_to_server;
+    const auto& placed = engine_.placement_of(oit->second.engine_id);
     ok = std::find(placed.begin(), placed.end(), server) != placed.end();
   }
   if (!ok) {
@@ -404,6 +401,7 @@ RecoveryReport SiloController::recover(
     // Placement is about to change under any lease this tenant lends or
     // borrows; reclaim first (inside the already-journaled failure op).
     revoke_leases_for_tenant(id);
+    const std::vector<int> shipped = shipped_placement(state);
     if (state.engine_id >= 0) {
       engine_.remove(state.engine_id);
       engine_to_external_.erase(state.engine_id);
@@ -416,13 +414,10 @@ RecoveryReport SiloController::recover(
       state.engine_id = placed->id;
       note_changed(-1, placed->id);
       engine_to_external_.emplace(placed->id, id);
-      state.vm_to_server = placed->vm_to_server;
       set_status(id, state, TenantStatus::kGuaranteed);
       report.replaced.push_back(id);
       m_replaced_.inc();
-      append_records(id, state, report.refreshed);
-      emit_config_deltas(
-          id, state, state.request.tenant_class != TenantClass::kBestEffort);
+      emit_config_deltas(id, state, shipped);
       continue;
     }
     // Guarantees infeasible: run the VMs best-effort (slots only, low
@@ -433,20 +428,16 @@ RecoveryReport SiloController::recover(
       state.engine_id = placed->id;
       note_changed(-1, placed->id);
       engine_to_external_.emplace(placed->id, id);
-      state.vm_to_server = placed->vm_to_server;
       set_status(id, state, TenantStatus::kDegraded);
       report.degraded.push_back(id);
       m_degraded_.inc();
-      emit_config_deltas(id, state, /*now_paced=*/false);
+      emit_config_deltas(id, state, shipped);
       continue;
     }
-    state.engine_id = -1;
-    state.vm_to_server.assign(
-        static_cast<std::size_t>(state.request.num_vms), -1);
     set_status(id, state, TenantStatus::kUnplaced);
     report.unplaced.push_back(id);
     m_unplaced_.inc();
-    emit_config_deltas(id, state, /*now_paced=*/false);
+    emit_config_deltas(id, state, shipped);
   }
   return report;
 }
@@ -504,21 +495,21 @@ ControllerSnapshot::Tenant SiloController::snapshot_entry(
   t.request = state.request;
   t.status = static_cast<std::uint8_t>(state.status);
   t.engine_id = state.engine_id;
-  t.vm_to_server = state.vm_to_server;
-  t.paced_vm_to_server = state.paced_vm_to_server;
   return t;
 }
 
+std::array<obs::Counter, 14> SiloController::snapshot_counters() const {
+  // restore_snapshot() replays these onto fresh counters so recovered
+  // metrics match the never-crashed controller exactly.
+  return {m_admissions_,    m_rejections_,    m_releases_,
+          m_replaced_,      m_degraded_,      m_unplaced_,
+          m_promotions_,    m_diff_deltas_,   m_diff_upserts_,
+          m_diff_removes_,  m_lease_granted_, m_lease_revoked_,
+          m_lease_expired_, m_lease_rejected_};
+}
+
 void SiloController::capture_globals(ControllerSnapshot& snap) const {
-  // Fixed order; restore_snapshot() replays these onto fresh counters so
-  // recovered metrics match the never-crashed controller exactly.
-  snap.counters = {m_admissions_.value(),    m_rejections_.value(),
-                   m_releases_.value(),      m_replaced_.value(),
-                   m_degraded_.value(),      m_unplaced_.value(),
-                   m_promotions_.value(),    m_diff_deltas_.value(),
-                   m_diff_upserts_.value(),  m_diff_removes_.value(),
-                   m_lease_granted_.value(), m_lease_revoked_.value(),
-                   m_lease_expired_.value(), m_lease_rejected_.value()};
+  for (const auto& c : snapshot_counters()) snap.counters.push_back(c.value());
   snap.leases = active_leases();
   snap.lease_epoch = lease_epoch_;
   snap.next_lease_id = next_lease_id_;
@@ -539,12 +530,16 @@ void SiloController::restore_snapshot(ControllerSnapshot snap) {
       m_rejections_.value() != 0)
     throw std::logic_error(
         "SiloController::restore_snapshot requires a fresh controller");
+  auto counters = snapshot_counters();
+  if (snap.counters.size() != counters.size())
+    throw std::invalid_argument(
+        "SiloController::restore_snapshot: snapshot has " +
+        std::to_string(snap.counters.size()) + " counters, expected " +
+        std::to_string(counters.size()));
   engine_.restore(snap.engine);
   for (auto& t : snap.tenants) {  // ascending id
     TenantState state;
     state.request = t.request;
-    state.vm_to_server = std::move(t.vm_to_server);
-    state.paced_vm_to_server = std::move(t.paced_vm_to_server);
     state.engine_id = t.engine_id;
     state.status = static_cast<TenantStatus>(t.status);
     if (t.engine_id >= 0) engine_to_external_.emplace(t.engine_id, t.id);
@@ -552,24 +547,8 @@ void SiloController::restore_snapshot(ControllerSnapshot snap) {
       non_guaranteed_.insert(non_guaranteed_.end(), t.id);
     tenants_.emplace_hint(tenants_.end(), t.id, std::move(state));
   }
-  if (snap.counters.size() >= 10) {
-    m_admissions_.inc(snap.counters[0]);
-    m_rejections_.inc(snap.counters[1]);
-    m_releases_.inc(snap.counters[2]);
-    m_replaced_.inc(snap.counters[3]);
-    m_degraded_.inc(snap.counters[4]);
-    m_unplaced_.inc(snap.counters[5]);
-    m_promotions_.inc(snap.counters[6]);
-    m_diff_deltas_.inc(snap.counters[7]);
-    m_diff_upserts_.inc(snap.counters[8]);
-    m_diff_removes_.inc(snap.counters[9]);
-  }
-  if (snap.counters.size() >= 14) {
-    m_lease_granted_.inc(snap.counters[10]);
-    m_lease_revoked_.inc(snap.counters[11]);
-    m_lease_expired_.inc(snap.counters[12]);
-    m_lease_rejected_.inc(snap.counters[13]);
-  }
+  for (std::size_t i = 0; i < counters.size(); ++i)
+    counters[i].inc(snap.counters[i]);
   for (const auto& lease : snap.leases) leases_.emplace(lease.id, lease);
   lease_epoch_ = snap.lease_epoch;
   next_lease_id_ = snap.next_lease_id;
@@ -631,8 +610,9 @@ void SiloController::recover_from_journal(DeltaJournal& journal,
 std::vector<int> SiloController::paced_servers() const {
   std::vector<int> out;
   for (const auto& [id, state] : tenants_) {
-    for (const int s : state.paced_vm_to_server)
-      if (s >= 0) out.push_back(s);
+    if (!state.paced()) continue;
+    const auto& placed = engine_.placement_of(state.engine_id);
+    out.insert(out.end(), placed.begin(), placed.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -642,31 +622,18 @@ std::vector<int> SiloController::paced_servers() const {
 std::vector<PacerConfigRecord> SiloController::server_config(
     int server) const {
   std::vector<PacerConfigRecord> out;
-  if (engine_.admission_mode() == placement::AdmissionMode::kIncremental) {
-    // Only tenants indexed on this server can have records here.
-    for (const auto eid : engine_.tenants_on_server(server)) {
-      const auto ext = engine_to_external_.find(eid);
-      if (ext == engine_to_external_.end()) continue;
-      const auto& state = tenants_.at(ext->second);
-      if (state.request.tenant_class == TenantClass::kBestEffort)
-        continue;  // best-effort VMs run unpaced at low priority (§4.4)
-      if (state.status != TenantStatus::kGuaranteed)
-        continue;  // degraded/unplaced tenants are not paced
-      for (int v = 0; v < state.request.num_vms; ++v) {
-        if (state.vm_to_server[static_cast<std::size_t>(v)] != server)
-          continue;
-        out.push_back(make_record(ext->second, state, v));
-      }
-    }
-  } else {
-    for (const auto& [id, state] : tenants_) {
-      if (state.request.tenant_class == TenantClass::kBestEffort) continue;
-      if (state.status != TenantStatus::kGuaranteed) continue;
-      for (int v = 0; v < state.request.num_vms; ++v) {
-        if (state.vm_to_server[static_cast<std::size_t>(v)] != server)
-          continue;
-        out.push_back(make_record(id, state, v));
-      }
+  // Only tenants placed on this server can have records here.
+  for (const auto eid : engine_.tenants_on_server(server)) {
+    const auto ext = engine_to_external_.find(eid);
+    if (ext == engine_to_external_.end()) continue;
+    const auto& state = tenants_.at(ext->second);
+    // Best-effort VMs run unpaced at low priority (§4.4), and degraded
+    // tenants are not paced.
+    if (!state.paced()) continue;
+    const auto& placed = engine_.placement_of(eid);
+    for (int v = 0; v < state.request.num_vms; ++v) {
+      if (placed[static_cast<std::size_t>(v)] != server) continue;
+      out.push_back(make_record(ext->second, state.request, placed, v));
     }
   }
   // Deterministic order for config diffing by the driver.

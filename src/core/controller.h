@@ -6,13 +6,18 @@
 // filter driver (the prototype's NDIS driver) consumes — which VM slots
 // to pace, with what {B, S, Bmax}, and which peer VMs share the tenant's
 // hose so destination buckets can be coordinated. Config shipping is
-// incremental: each admit/release/recovery enqueues PacerConfigDeltas for
-// the affected servers only (drain_config_deltas); server_config() stays
-// available as the full-snapshot reference the deltas must reproduce.
+// incremental in both admission modes: each admit/release/recovery
+// enqueues PacerConfigDeltas for the affected servers only
+// (drain_config_deltas); server_config() stays available as the
+// full-snapshot reference the deltas must reproduce. Placement itself is
+// kept once, by the PlacementEngine: the controller keeps each tenant's
+// request, engine id and status, and derives what the pacers hold from
+// them.
 #pragma once
 
-#include <optional>
+#include <array>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -54,31 +59,24 @@ struct DatacenterStats {
 };
 
 /// Outcome of one failure/restore event: which tenants were touched and
-/// where they ended up, plus the pacer records to push to hypervisors for
-/// every re-placed guaranteed VM.
+/// where they ended up. The pacer records of every re-placed guaranteed VM
+/// ride the event's config deltas (drain_config_deltas).
 struct RecoveryReport {
   std::vector<placement::TenantId> affected;  ///< sorted, deterministic
   std::vector<placement::TenantId> replaced;  ///< full guarantees re-validated
   std::vector<placement::TenantId> degraded;  ///< best-effort fallback
   std::vector<placement::TenantId> unplaced;  ///< no slots anywhere
-  std::vector<PacerConfigRecord> refreshed;   ///< configs for replaced VMs
 };
 
 class SiloController {
  public:
-  struct Options {
-    placement::Policy policy = placement::Policy::kSilo;
-    TimeNs nic_delay_allowance = 50 * kUsec;
-    bool hose_tightening = true;
-    /// kFullRescan keeps the quadratic reference path (full port-load
-    /// rebuilds, no delta emission) for equivalence tests and benchmarks.
-    placement::AdmissionMode admission_mode =
-        placement::AdmissionMode::kIncremental;
-  };
-
-  explicit SiloController(const topology::TopologyConfig& topo)
-      : SiloController(topo, Options{}) {}
-  SiloController(const topology::TopologyConfig& topo, const Options& options);
+  /// Silo policy admission. `mode` picks how the placement engine keeps
+  /// its derived state; kFullRescan is the quadratic reference path (full
+  /// port-load rebuilds) for equivalence tests and benchmarks. Both modes
+  /// make the same decisions and ship the same deltas.
+  explicit SiloController(
+      const topology::TopologyConfig& topo,
+      placement::AdmissionMode mode = placement::AdmissionMode::kIncremental);
 
   /// Admission control + placement; nullopt when the request cannot be
   /// accommodated without violating someone's guarantees.
@@ -107,9 +105,7 @@ class SiloController {
   }
   /// Current placement (may differ from the admit-time handle after
   /// recovery; -1 entries mean the VM is unplaced).
-  const std::vector<int>& tenant_placement(placement::TenantId id) const {
-    return tenants_.at(id).vm_to_server;
-  }
+  std::vector<int> tenant_placement(placement::TenantId id) const;
 
   /// Pacer configuration for every guaranteed VM currently on `server` —
   /// the full-snapshot reference the incremental deltas must reproduce.
@@ -118,8 +114,7 @@ class SiloController {
   /// Incremental pacer-config updates queued since the last drain, in
   /// emission order: one delta per affected server per admit/release/
   /// recovery event. Applying each to its server's PacerConfigTable yields
-  /// exactly server_config(server). Empty in kFullRescan mode (full
-  /// snapshots are the only protocol there).
+  /// exactly server_config(server).
   std::vector<PacerConfigDelta> drain_config_deltas();
 
   // --- Work-conserving leases (docs/WORKCONSERVING.md) ------------------
@@ -173,7 +168,9 @@ class SiloController {
   /// Exact logical state (engine snapshot + tenant map + counters) — the
   /// reference every compacted journal snapshot must equal.
   ControllerSnapshot snapshot() const;
-  /// Restore from snapshot(); fresh controllers only (throws otherwise).
+  /// Restore from snapshot(); fresh controllers only (throws
+  /// std::logic_error otherwise). Throws std::invalid_argument when the
+  /// snapshot does not carry exactly the controller's counters.
   void restore_snapshot(ControllerSnapshot snap);
 
   /// Servers with at least one shipped (paced) record, ascending — the
@@ -197,16 +194,19 @@ class SiloController {
   const placement::PlacementEngine& placement() const { return engine_; }
 
  private:
+  /// The placement is the engine's (PlacementEngine::placement_of).
   struct TenantState {
     TenantRequest request;
-    std::vector<int> vm_to_server;
-    /// Placement last shipped to the pacers via deltas; empty when no
-    /// records are live (never paced, released, degraded or unplaced).
-    std::vector<int> paced_vm_to_server;
     /// Current placement-engine id — changes on every re-placement while
     /// the controller-facing tenant id stays stable; -1 when unplaced.
     placement::TenantId engine_id = -1;
     TenantStatus status = TenantStatus::kGuaranteed;
+    /// The pacers hold records for this tenant's placement: it is placed,
+    /// guaranteed and not best-effort.
+    bool paced() const {
+      return engine_id >= 0 && status == TenantStatus::kGuaranteed &&
+             request.tenant_class != TenantClass::kBestEffort;
+    }
   };
 
   /// Evacuate + re-place each affected tenant: full guarantees first,
@@ -218,16 +218,17 @@ class SiloController {
   std::vector<placement::TenantId> non_guaranteed_tenants() const {
     return {non_guaranteed_.begin(), non_guaranteed_.end()};
   }
-  void append_records(placement::TenantId id, const TenantState& state,
-                      std::vector<PacerConfigRecord>& out) const;
-  PacerConfigRecord make_record(placement::TenantId id,
-                                const TenantState& state, int vm) const;
-  /// Queue removals for the previously shipped records and, when
-  /// `now_paced`, upserts for the current placement — one delta per
-  /// affected server — then record what is now shipped. No-op (state
-  /// cleared only) in kFullRescan mode.
-  void emit_config_deltas(placement::TenantId id, TenantState& state,
-                          bool now_paced);
+  static PacerConfigRecord make_record(placement::TenantId id,
+                                       const TenantRequest& request,
+                                       const std::vector<int>& vm_to_server,
+                                       int vm);
+  /// The placement the pacers hold records for: the engine's when `state`
+  /// is paced, else empty. A copy, taken before the engine drops it.
+  std::vector<int> shipped_placement(const TenantState& state) const;
+  /// Queue removals for the `shipped` records and, when `state` is paced,
+  /// upserts for its current placement — one delta per affected server.
+  void emit_config_deltas(placement::TenantId id, const TenantState& state,
+                          const std::vector<int>& shipped);
   /// Every status change goes through here to keep non_guaranteed_ exact.
   void set_status(placement::TenantId id, TenantState& state,
                   TenantStatus status);
@@ -248,6 +249,8 @@ class SiloController {
   void note_changed(placement::TenantId id, placement::TenantId engine_id);
   /// The entries changed since the last compaction, as a SnapshotDelta.
   SnapshotDelta snapshot_delta();
+  /// The counters a snapshot carries, in its fixed order.
+  std::array<obs::Counter, 14> snapshot_counters() const;
   /// Fill the controller-layer global fields of `snap`: counters, leases,
   /// lease epoch and lease id cursor.
   void capture_globals(ControllerSnapshot& snap) const;

@@ -13,7 +13,9 @@ constexpr std::uint64_t kMagic = 0x314e524a4f4c4953ull;
 // v2: lease payload on every record + lease state in snapshots.
 // v3: the snapshot is its global fields followed by its keyed tenant
 // entries, and the chain mixes in a digest folded from per-entry digests.
-constexpr std::uint32_t kVersion = 3;
+// v4: a controller tenant entry holds no placement (its engine entry
+// does), and a record's chain value hashes the record's encoded bytes.
+constexpr std::uint32_t kVersion = 4;
 
 std::uint64_t double_bits(double d) {
   std::uint64_t bits;
@@ -22,48 +24,12 @@ std::uint64_t double_bits(double d) {
   return bits;
 }
 
-/// Chain one record onto the running head. Payload fields that the op does
-/// not use are fixed defaults, so the fold is total and unambiguous.
-bool lease_op(JournalOp op) {
-  return op == JournalOp::kLeaseGrant || op == JournalOp::kLeaseRevoke ||
-         op == JournalOp::kLeaseEpoch;
-}
-
-std::uint64_t record_chain(std::uint64_t prev, const JournalRecord& rec) {
-  std::uint64_t h = prev;
-  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.op));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.request.num_vms));
-  h = fnv1a_word(h, double_bits(rec.request.guarantee.bandwidth.bps()));
-  h = fnv1a_word(
-      h, static_cast<std::uint64_t>(rec.request.guarantee.burst.count()));
-  h = fnv1a_word(
-      h, static_cast<std::uint64_t>(rec.request.guarantee.delay.count()));
-  h = fnv1a_word(h, double_bits(rec.request.guarantee.burst_rate.bps()));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.request.tenant_class));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.request.min_fault_domains));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.tenant));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.server));
-  h = fnv1a_word(h, static_cast<std::uint64_t>(rec.port));
-  // The lease payload folds in only for lease ops, so chains of the
-  // original op set are byte-identical to journal v1.
-  if (lease_op(rec.op)) {
-    h = fnv1a_word(h, rec.lease.id);
-    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.owner));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.borrower));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.vm_index));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(rec.lease.server));
-    h = fnv1a_word(h, double_bits(rec.lease.rate.bps()));
-    h = fnv1a_word(h, rec.lease.issued_epoch);
-    h = fnv1a_word(h, rec.lease.expiry_epoch);
-  }
-  return h;
-}
-
 // ------------------------------------------------------------- byte codec
 
 /// Byte sinks for the codec. StringSink keeps the bytes (serialize);
-/// FnvSink folds them into FNV-1a (snapshot entry digests), so a digest is
-/// by construction the hash of exactly the bytes serialize writes.
+/// FnvSink folds them into FNV-1a (record chain values, snapshot entry
+/// digests), so a hash is by construction over exactly the bytes
+/// serialize writes.
 struct StringSink {
   std::string bytes;
   void put(std::uint8_t b) { bytes.push_back(static_cast<char>(b)); }
@@ -171,6 +137,11 @@ TenantRequest read_request(ByteReader& r) {
   return req;
 }
 
+bool lease_op(JournalOp op) {
+  return op == JournalOp::kLeaseGrant || op == JournalOp::kLeaseRevoke ||
+         op == JournalOp::kLeaseEpoch;
+}
+
 template <class W>
 void write_lease(W& w, const PacerLeaseRecord& l) {
   w.u64(l.id);
@@ -194,6 +165,43 @@ PacerLeaseRecord read_lease(ByteReader& r) {
   l.issued_epoch = r.u64();
   l.expiry_epoch = r.u64();
   return l;
+}
+
+// The record codec. write_record emits the bytes a record's chain value
+// hashes; the blob follows them with the chain value, and read_record
+// reads both back.
+
+template <class W>
+void write_record(W& w, const JournalRecord& rec) {
+  w.u8(static_cast<std::uint8_t>(rec.op));
+  write_request(w, rec.request);
+  w.i64(rec.tenant);
+  w.i32(rec.server);
+  w.i32(rec.port);
+  // Lease payload only for lease ops: the other ops leave it at its
+  // defaults, so no byte of the blob lies outside the chain.
+  if (lease_op(rec.op)) write_lease(w, rec.lease);
+}
+
+JournalRecord read_record(ByteReader& r) {
+  JournalRecord rec;
+  rec.op = static_cast<JournalOp>(r.u8());
+  rec.request = read_request(r);
+  rec.tenant = r.i64();
+  rec.server = r.i32();
+  rec.port = r.i32();
+  if (lease_op(rec.op)) rec.lease = read_lease(r);
+  rec.chain = r.u64();
+  return rec;
+}
+
+/// FNV-1a over the bytes write_record emits, seeded with the previous
+/// chain head.
+std::uint64_t record_chain(std::uint64_t prev, const JournalRecord& rec) {
+  ByteWriter<FnvSink> w;
+  w.sink.h = prev;
+  write_record(w, rec);
+  return w.sink.h;
 }
 
 // The snapshot codec: one write_snapshot/read_snapshot overload per part.
@@ -237,8 +245,6 @@ void write_snapshot(W& w, const ControllerSnapshot::Tenant& t) {
   write_request(w, t.request);
   w.u8(t.status);
   w.i64(t.engine_id);
-  w.ints(t.vm_to_server);
-  w.ints(t.paced_vm_to_server);
 }
 
 void read_snapshot(ByteReader& r, ControllerSnapshot::Tenant& t) {
@@ -246,8 +252,6 @@ void read_snapshot(ByteReader& r, ControllerSnapshot::Tenant& t) {
   t.request = read_request(r);
   t.status = r.u8();
   t.engine_id = r.i64();
-  t.vm_to_server = r.ints();
-  t.paced_vm_to_server = r.ints();
 }
 
 template <class W>
@@ -467,14 +471,7 @@ std::string DeltaJournal::serialize() const {
   }
   w.u64(records_.size());
   for (const auto& rec : records_) {
-    w.u8(static_cast<std::uint8_t>(rec.op));
-    write_request(w, rec.request);
-    w.i64(rec.tenant);
-    w.i32(rec.server);
-    w.i32(rec.port);
-    // Lease payload only for lease ops: every serialized byte stays
-    // covered by the record chain (tamper detection needs no dead zones).
-    if (lease_op(rec.op)) write_lease(w, rec.lease);
+    write_record(w, rec);
     w.u64(rec.chain);
   }
   w.u64(chain_);
@@ -502,22 +499,13 @@ DeltaJournal DeltaJournal::deserialize(const std::string& bytes) {
     read_entries<ControllerSnapshot::Tenant>(r, ret.tenants, ret.tenant_sum);
   }
   const std::uint64_t n = r.count();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    JournalRecord rec;
-    rec.op = static_cast<JournalOp>(r.u8());
-    rec.request = read_request(r);
-    rec.tenant = r.i64();
-    rec.server = r.i32();
-    rec.port = r.i32();
-    if (lease_op(rec.op)) rec.lease = read_lease(r);
-    rec.chain = r.u64();
-    j.records_.push_back(std::move(rec));
-  }
+  for (std::uint64_t i = 0; i < n; ++i) j.records_.push_back(read_record(r));
   j.chain_ = r.u64();
   if (!r.done()) throw std::runtime_error("journal corrupt: trailing bytes");
   // The entry digests were just computed from the bytes read, so the
   // cached fold is as strong as verify()'s re-hash here.
-  if (!j.chain_holds(j.retained_ ? digest(*j.retained_, /*rehash=*/false) : 0))
+  if (!j.chain_holds(
+          j.retained_ ? digest(*j.retained_, /*rehash=*/false) : 0))
     throw std::runtime_error("journal corrupt: chain checksum mismatch");
   return j;
 }

@@ -2,19 +2,20 @@
 // durability).
 //
 // Every public controller mutation — admit, release, server/link failure,
-// server/link restore — appends one JournalRecord *before* it executes.
+// server/link restore, lease grant/revoke/epoch — appends one JournalRecord
+// *before* it executes.
 // Because the controller is deterministic, replaying the journal through a
 // fresh controller rebuilds the full placement/pacer state bit-identically:
 // placement decisions, shipped pacer configs, and metric counters all match
 // a controller that never crashed (pinned by the storm equivalence tests in
 // tests/test_journal.cc).
 //
-// Records are FNV-1a chain-checksummed (same constants and byte-wise mixing
-// as pacer_config_checksum): each record's `chain` folds the previous chain
-// head with the record payload, so truncation, reordering, or bit-rot
-// anywhere breaks verification of everything after it. Periodic compaction
-// replaces the prefix with an exact ControllerSnapshot, which the journal
-// retains keyed by tenant id with one cached digest per entry. A delta
+// A record has one byte encoding, and its `chain` value is FNV-1a over
+// exactly those bytes, seeded with the previous chain head: truncation,
+// reordering, or bit-rot anywhere breaks verification of everything after
+// it. Periodic compaction replaces the prefix with an exact
+// ControllerSnapshot, which the journal retains keyed by tenant id with
+// one cached digest per entry (FNV-1a over the entry's encoding). A delta
 // compaction folds in only the entries that changed (SnapshotDelta), and
 // the snapshot's digest — a fold of the entry digests and the global
 // fields' digest — is mixed into the chain, keeping it continuous across
@@ -56,31 +57,31 @@ struct JournalRecord {
   /// kLeaseGrant payload (full record); kLeaseRevoke uses lease.id only;
   /// kLeaseEpoch uses lease.issued_epoch as the epoch being advanced to.
   PacerLeaseRecord lease;
-  /// FNV-1a chain head after folding this record (filled by append()).
+  /// Chain head after hashing this record (filled by append()).
   std::uint64_t chain = 0;
 };
 
 /// Exact logical controller state at a compaction point: the placement
-/// engine's snapshot plus the controller-layer tenant map and metric
-/// counter values. Pending (undrained) config deltas are *not* captured —
-/// recovery re-emits every delta since the snapshot, and the control
-/// channel reconciles the fleet via resync + anti-entropy.
+/// engine's snapshot (which holds every placement) plus the
+/// controller-layer tenant map and metric counter values. Pending
+/// (undrained) config deltas are *not* captured — recovery re-emits every
+/// delta since the snapshot, and the control channel reconciles the fleet
+/// via resync + anti-entropy.
 struct ControllerSnapshot {
   struct Tenant {
     std::int64_t id = -1;
-    TenantRequest request;     ///< the original (pre-degradation) request
-    std::uint8_t status = 0;   ///< TenantStatus
+    TenantRequest request;    ///< the original (pre-degradation) request
+    std::uint8_t status = 0;  ///< TenantStatus
+    /// The engine entry holding the placement; -1 when unplaced.
     std::int64_t engine_id = -1;
-    std::vector<int> vm_to_server;
-    std::vector<int> paced_vm_to_server;
     friend bool operator==(const Tenant&, const Tenant&) = default;
   };
   placement::EngineSnapshot engine;
-  std::vector<Tenant> tenants;          ///< ascending id
-  std::vector<std::int64_t> counters;   ///< controller counter values, fixed order
-  std::vector<PacerLeaseRecord> leases; ///< active leases, ascending id
-  std::uint64_t lease_epoch = 0;        ///< controller lease epoch
-  std::uint64_t next_lease_id = 1;      ///< lease id allocator cursor
+  std::vector<Tenant> tenants;           ///< ascending id
+  std::vector<std::int64_t> counters;    ///< controller counters, fixed order
+  std::vector<PacerLeaseRecord> leases;  ///< active leases, ascending id
+  std::uint64_t lease_epoch = 0;         ///< controller lease epoch
+  std::uint64_t next_lease_id = 1;       ///< lease id allocator cursor
   friend bool operator==(const ControllerSnapshot&,
                          const ControllerSnapshot&) = default;
 };
@@ -105,7 +106,7 @@ class DeltaJournal {
  public:
   DeltaJournal();
 
-  /// Chain-checksum and store one record (write-ahead: call before the op
+  /// Chain and store one record (write-ahead: call before the op
   /// executes). Returns the new chain head.
   std::uint64_t append(JournalRecord rec);
 

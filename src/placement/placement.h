@@ -127,6 +127,11 @@ class PlacementEngine {
     return port_failed_[static_cast<std::size_t>(p.value)] != 0;
   }
 
+  /// An admitted tenant's VM index -> server list, as placed.
+  const std::vector<int>& placement_of(TenantId id) const {
+    return tenants_.at(id).vm_to_server;
+  }
+
   /// Admitted tenants with at least one VM on `server`, ascending id.
   std::vector<TenantId> tenants_on_server(int server) const;
   /// Admitted tenants whose placement routes traffic through `p`,

@@ -29,6 +29,13 @@ TenantRequest tenant(int vms, RateBps bw = 500 * kMbps) {
   return r;
 }
 
+/// Pacer records upserted by the deltas queued since the last drain.
+std::size_t drained_upserts(SiloController& ctl) {
+  std::size_t n = 0;
+  for (const auto& d : ctl.drain_config_deltas()) n += d.upserts.size();
+  return n;
+}
+
 TEST(Controller, AdmitReleaseLifecycle) {
   SiloController ctl(small_dc());
   const auto before = ctl.stats();
@@ -147,6 +154,7 @@ TEST(Controller, ServerFailureReplacesWithinGuarantees) {
   const auto h = ctl.admit(tenant(6));
   ASSERT_TRUE(h);
   const int victim = h->vm_to_server.front();
+  EXPECT_EQ(drained_upserts(ctl), 6u);
 
   const auto report = ctl.handle_server_failure(victim);
   ASSERT_EQ(report.affected.size(), 1u);
@@ -156,7 +164,7 @@ TEST(Controller, ServerFailureReplacesWithinGuarantees) {
   EXPECT_TRUE(report.unplaced.empty());
   // Re-placement re-ran full admission: fresh pacer configs were emitted,
   // the tenant keeps its guarantees, and no VM sits on dead hardware.
-  EXPECT_EQ(report.refreshed.size(), 6u);
+  EXPECT_EQ(drained_upserts(ctl), 6u);
   EXPECT_EQ(ctl.tenant_status(h->id), TenantStatus::kGuaranteed);
   for (int s : ctl.tenant_placement(h->id)) EXPECT_NE(s, victim);
   const auto stats = ctl.stats();
@@ -181,6 +189,7 @@ TEST(Controller, LinkFailureDegradesThenRestorePromotes) {
   SiloController ctl(cfg);
   const auto h = ctl.admit(tenant(2));
   ASSERT_TRUE(h);
+  EXPECT_EQ(drained_upserts(ctl), 2u);
 
   const auto dead = ctl.topo().server_down(1);
   const auto report = ctl.handle_link_failure(dead);
@@ -188,7 +197,7 @@ TEST(Controller, LinkFailureDegradesThenRestorePromotes) {
   ASSERT_EQ(report.degraded.size(), 1u);
   EXPECT_TRUE(report.replaced.empty());
   EXPECT_TRUE(report.unplaced.empty());
-  EXPECT_TRUE(report.refreshed.empty());
+  EXPECT_EQ(drained_upserts(ctl), 0u);
   EXPECT_EQ(ctl.tenant_status(h->id), TenantStatus::kDegraded);
   EXPECT_EQ(ctl.stats().degraded_tenants, 1);
   // Degraded VMs still hold slots but run unpaced at low priority.
@@ -197,7 +206,7 @@ TEST(Controller, LinkFailureDegradesThenRestorePromotes) {
 
   const auto back = ctl.restore_link(dead);
   ASSERT_EQ(back.replaced.size(), 1u);
-  EXPECT_EQ(back.refreshed.size(), 2u);
+  EXPECT_EQ(drained_upserts(ctl), 2u);
   EXPECT_EQ(ctl.tenant_status(h->id), TenantStatus::kGuaranteed);
   EXPECT_EQ(ctl.stats().degraded_tenants, 0);
   int paced = 0;
@@ -461,16 +470,27 @@ TEST(ControllerDiff, FailureRecoveryDeltasTrackSnapshots) {
   fleet.verify(ctl);
 }
 
+/// Field-for-field delta equality, records compared exactly.
+void expect_same_deltas(const std::vector<PacerConfigDelta>& a,
+                        const std::vector<PacerConfigDelta>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].server, b[i].server) << "delta " << i;
+    ASSERT_EQ(a[i].removes, b[i].removes) << "delta " << i;
+    ASSERT_TRUE(same_records(a[i].upserts, b[i].upserts)) << "delta " << i;
+    ASSERT_EQ(a[i].lease_epoch, b[i].lease_epoch) << "delta " << i;
+    ASSERT_EQ(a[i].lease_removes, b[i].lease_removes) << "delta " << i;
+    ASSERT_EQ(a[i].lease_upserts, b[i].lease_upserts) << "delta " << i;
+  }
+}
+
 TEST(ControllerDiff, ChurnStormMatchesFullRescanController) {
   // Drive an incremental and a full-rescan controller with the identical
-  // op sequence: placements, stats and per-server config checksums must
-  // stay bit-identical, and the incremental side's delta stream must keep
-  // reproducing its own snapshots.
-  SiloController::Options inc_opts;
-  SiloController::Options full_opts;
-  full_opts.admission_mode = placement::AdmissionMode::kFullRescan;
-  SiloController inc(small_dc(), inc_opts);
-  SiloController full(small_dc(), full_opts);
+  // op sequence: placements, stats, per-server config checksums and the
+  // drained delta streams must stay bit-identical, and the delta stream
+  // must keep reproducing the snapshots.
+  SiloController inc(small_dc());
+  SiloController full(small_dc(), placement::AdmissionMode::kFullRescan);
   PacerFleet fleet;
 
   Rng rng(11);
@@ -487,9 +507,10 @@ TEST(ControllerDiff, ChurnStormMatchesFullRescanController) {
     for (int s = 0; s < inc.topo().num_servers(); ++s)
       ASSERT_EQ(pacer_config_checksum(inc.server_config(s)),
                 pacer_config_checksum(full.server_config(s)));
-    fleet.apply(inc);
+    const auto deltas = inc.drain_config_deltas();
+    expect_same_deltas(deltas, full.drain_config_deltas());
+    for (const auto& delta : deltas) fleet.tables[delta.server].apply(delta);
     fleet.verify(inc);
-    ASSERT_TRUE(full.drain_config_deltas().empty());  // full mode: no diffs
   };
 
   for (int step = 0; step < 120; ++step) {

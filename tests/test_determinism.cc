@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <stdexcept>
 #include <tuple>
@@ -40,8 +41,10 @@ struct ScenarioResult {
 // A scaled-down Fig-12-style scenario: one class-A OLDI tenant doing
 // synchronized all-to-one bursts plus one class-B all-to-all bulk tenant,
 // sharing a two-rack fabric. `step` > 0 drives the clock through run_until
-// in fixed increments instead of one shot.
-ScenarioResult run_scenario(sim::Scheme scheme, TimeNs step = TimeNs{0}) {
+// in fixed increments instead of one shot. `ecn_marks`, when given,
+// receives the run's merged sim.port.ecn_marks.
+ScenarioResult run_scenario(sim::Scheme scheme, TimeNs step = TimeNs{0},
+                            std::int64_t* ecn_marks = nullptr) {
   sim::ClusterConfig cfg;
   cfg.topo.pods = 1;
   cfg.topo.racks_per_pod = 2;
@@ -49,6 +52,9 @@ ScenarioResult run_scenario(sim::Scheme scheme, TimeNs step = TimeNs{0}) {
   cfg.topo.vm_slots_per_server = 2;
   cfg.scheme = scheme;
   cfg.tcp.min_rto = 10 * kMsec;
+  // DCTCP's K (~20 MTU packets): this scenario's queues peak under the
+  // 97 KB default, so DCTCP would never mark. Only DCTCP ports read it.
+  cfg.ecn_threshold = 30 * kKB;
   sim::ClusterSim cluster(cfg);
   cluster.enable_delivery_trace();
 
@@ -82,18 +88,30 @@ ScenarioResult run_scenario(sim::Scheme scheme, TimeNs step = TimeNs{0}) {
   } else {
     cluster.run_until(horizon);
   }
+  if (ecn_marks != nullptr)
+    *ecn_marks =
+        obs::metric_value(cluster.merged_metrics(), "sim.port.ecn_marks");
   return {cluster.delivery_trace_checksum(), cluster.island_trace_checksum(),
           cluster.delivery_trace_size()};
 }
 
 TEST(Determinism, IdenticalTraceAcrossRuns) {
+  std::map<sim::Scheme, ScenarioResult> traces;
   for (auto scheme : {sim::Scheme::kSilo, sim::Scheme::kTcp,
                       sim::Scheme::kDctcp, sim::Scheme::kPfabric}) {
-    const auto first = run_scenario(scheme);
+    std::int64_t ecn_marks = 0;
+    const auto first = run_scenario(scheme, TimeNs{0}, &ecn_marks);
     const auto second = run_scenario(scheme);
     EXPECT_EQ(first, second) << sim::scheme_name(scheme);
     EXPECT_GT(first.packets, 1000) << sim::scheme_name(scheme);
+    if (scheme == sim::Scheme::kDctcp) {
+      EXPECT_GT(ecn_marks, 0);
+    }
+    traces[scheme] = first;
   }
+  // Marks, echoes and window cuts make DCTCP's trace its own.
+  EXPECT_NE(traces[sim::Scheme::kDctcp].canonical,
+            traces[sim::Scheme::kTcp].canonical);
 }
 
 TEST(Determinism, SteppedRunUntilMatchesSingleShot) {
@@ -106,8 +124,9 @@ TEST(Determinism, SteppedRunUntilMatchesSingleShot) {
 
 // Golden delivery traces. The seed engine (std::function closures over a
 // binary heap) fixed the packet stream; these values were recorded from the
-// same stream, and every later engine must reproduce them exactly: any
-// divergence means event ordering or packet handling changed.
+// same stream (DCTCP's once its K was scaled to make it mark), and every
+// later engine must reproduce them exactly: any divergence means event
+// ordering or packet handling changed.
 TEST(Determinism, GoldenTraceChecksums) {
   EXPECT_EQ(run_scenario(sim::Scheme::kSilo),
             (ScenarioResult{11121953673522673563ull, 8057066124703975891ull,
@@ -118,6 +137,9 @@ TEST(Determinism, GoldenTraceChecksums) {
   EXPECT_EQ(run_scenario(sim::Scheme::kPfabric),
             (ScenarioResult{11878102065824478974ull, 5119188699899601702ull,
                             287900}));
+  EXPECT_EQ(run_scenario(sim::Scheme::kDctcp),
+            (ScenarioResult{9272916652667052999ull, 17521097745538019367ull,
+                            287254}));
 }
 
 // The tx hot path must not heap-allocate in steady state: once the warmup

@@ -4,8 +4,11 @@
 // completes with zero leaked pool packets and a bit-identical replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <tuple>
+#include <vector>
 
 #include "core/controller.h"
 #include "sim/cluster.h"
@@ -440,13 +443,29 @@ TEST(ControllerFaults, RecoveryLadderMatchesGoldenChecksum) {
       }
     }
   };
+  // The records a recovery pushed back out: its drained upserts for the
+  // re-placed tenants, in (tenant, VM) order.
+  const auto refreshed = [&ctl](const RecoveryReport& rep) {
+    std::vector<PacerConfigRecord> out;
+    for (auto& delta : ctl.drain_config_deltas()) {
+      for (auto& rec : delta.upserts) {
+        if (std::binary_search(rep.replaced.begin(), rep.replaced.end(),
+                               rec.tenant))
+          out.push_back(std::move(rec));
+      }
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.tenant, a.vm_index) < std::tie(b.tenant, b.vm_index);
+    });
+    return out;
+  };
   const auto mix_report = [&](const RecoveryReport& rep) {
     for (const auto* ids :
          {&rep.affected, &rep.replaced, &rep.degraded, &rep.unplaced}) {
       mix(ids->size());
       for (const auto id : *ids) mix(id);
     }
-    mix_records(rep.refreshed);
+    mix_records(refreshed(rep));
   };
 
   // Three delay-sensitive tenants fill 12 of 16 slots; re-placement room
@@ -462,6 +481,7 @@ TEST(ControllerFaults, RecoveryLadderMatchesGoldenChecksum) {
     handles.push_back(*h);
     for (const int s : h->vm_to_server) mix(s);
   }
+  (void)ctl.drain_config_deltas();  // the admissions' records
 
   mix_report(ctl.handle_server_failure(0));
   mix_report(ctl.handle_link_failure(ctl.topo().rack_up(0)));

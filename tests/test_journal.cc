@@ -7,6 +7,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -158,7 +159,56 @@ TEST(Journal, TamperedCompactedSnapshotIsRejected) {
   }
 }
 
-TEST(Journal, RejectsVersionTwoBlobs) {
+TEST(Journal, EveryRecordByteIsTamperEvident) {
+  // One record of every op kind. The record section is the record count,
+  // each record's bytes and chain value, and the chain head: flipping any
+  // bit pattern of any of its bytes must be rejected.
+  topology::TopologyConfig one_rack = small_dc();
+  one_rack.pods = 1;
+  one_rack.racks_per_pod = 1;
+  SiloController ctl(one_rack);
+  DeltaJournal journal;
+  ctl.attach_journal(&journal);
+  TenantRequest pair;
+  pair.num_vms = 2;
+  pair.tenant_class = TenantClass::kBandwidthOnly;
+  pair.guarantee = {500 * kMbps, Bytes{1500}, TimeNs{0}, 1 * kGbps};
+  const auto owner = ctl.admit(pair);
+  const auto borrower = ctl.admit(pair);
+  ASSERT_TRUE(owner && borrower);
+  const auto lease =
+      ctl.grant_lease(owner->id, borrower->id, 0, 100 * kMbps, 2);
+  ASSERT_TRUE(lease) << "the two tenants share server "
+                     << owner->vm_to_server.front();
+  ctl.advance_lease_epoch();
+  ctl.revoke_lease(*lease);
+  const int server = borrower->vm_to_server.front();
+  ctl.handle_server_failure(server);
+  ctl.restore_server(server);
+  const auto port = ctl.topo().server_down(server);
+  ctl.handle_link_failure(port);
+  ctl.restore_link(port);
+  ctl.release(*owner);
+  std::set<JournalOp> ops;
+  for (const auto& rec : journal.records()) ops.insert(rec.op);
+  ASSERT_EQ(ops.size(), 9u);
+
+  const std::string blob = journal.serialize();
+  ASSERT_TRUE(DeltaJournal::deserialize(blob).verify());
+  // With no snapshot, an empty journal's blob is the header, the record
+  // count and the chain head.
+  const std::size_t begin = DeltaJournal().serialize().size() - 16;
+  for (std::size_t i = begin; i < blob.size(); ++i) {
+    for (const int mask : {0x01, 0xff}) {
+      std::string tampered = blob;
+      tampered[i] = static_cast<char>(tampered[i] ^ mask);
+      EXPECT_THROW(DeltaJournal::deserialize(tampered), std::runtime_error)
+          << "byte " << i << " of the record section, mask " << mask;
+    }
+  }
+}
+
+TEST(Journal, RejectsVersionThreeBlobs) {
   SiloController ctl(small_dc());
   DeltaJournal journal;
   ctl.attach_journal(&journal, /*snapshot_every=*/2);
@@ -166,11 +216,11 @@ TEST(Journal, RejectsVersionTwoBlobs) {
   for (int i = 0; i < 3; ++i) ctl.admit(sample_request(rng));
   std::string blob = journal.serialize();
   // Bytes 8..11: the little-endian format version after the magic.
-  ASSERT_EQ(blob[8], 3);
-  blob[8] = 2;
+  ASSERT_EQ(blob[8], 4);
+  blob[8] = 3;
   try {
     DeltaJournal::deserialize(blob);
-    ADD_FAILURE() << "a v2 blob was accepted";
+    ADD_FAILURE() << "a v3 blob was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown version"), std::string::npos)
         << e.what();
@@ -248,6 +298,27 @@ TEST(Journal, RecoverRequiresFreshController) {
   SiloController dirty(small_dc());
   ASSERT_TRUE(dirty.admit(sample_request(rng)));
   EXPECT_THROW(dirty.recover_from_journal(journal), std::logic_error);
+}
+
+TEST(Journal, RestoreRequiresTheControllersCounterCount) {
+  SiloController ctl(small_dc());
+  Rng rng(29);
+  ASSERT_TRUE(ctl.admit(sample_request(rng)));
+  const ControllerSnapshot snap = ctl.snapshot();
+  for (const std::size_t n : {std::size_t{0}, std::size_t{10},
+                              snap.counters.size() - 1,
+                              snap.counters.size() + 1}) {
+    ControllerSnapshot bad = snap;
+    bad.counters.resize(n);
+    SiloController fresh(small_dc());
+    EXPECT_THROW(fresh.restore_snapshot(bad), std::invalid_argument)
+        << n << " counters";
+    // Rejected before anything was restored: still a fresh controller.
+    EXPECT_EQ(fresh.stats().admitted_tenants, 0);
+  }
+  SiloController fresh(small_dc());
+  fresh.restore_snapshot(snap);
+  EXPECT_EQ(fresh.snapshot(), snap);
 }
 
 // ---------------------------------------------------------------------------
